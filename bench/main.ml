@@ -760,7 +760,7 @@ let scenarios : (string * (unit -> int option * string option)) list =
             Array.iter Thread.join ts;
             Option.get results.(0))
     in
-    let o = record.Wfc_serve.Store.outcome in
+    let o = record.Wfc_storage.Record.outcome in
     (Some o.Solvability.o_nodes, Some o.Solvability.o_verdict)
   in
   (* Storage engine at scale: a store seeded with 10k records (500 under
@@ -772,7 +772,7 @@ let scenarios : (string * (unit -> int option * string option)) list =
      and ls; puts use fresh digests). *)
   let store_count () = if !quick_scenarios then 500 else 10_000 in
   let store_ops () = if !quick_scenarios then 100 else 1_000 in
-  let seeded_store : Wfc_serve.Store.t option ref = ref None in
+  let seeded_store : Wfc_storage.Engine.t option ref = ref None in
   let store_env () =
     match !seeded_store with
     | Some st -> st
@@ -780,8 +780,8 @@ let scenarios : (string * (unit -> int option * string option)) list =
       let dir = Filename.temp_file "wfc-bench-store10k" "" in
       Sys.remove dir;
       Unix.mkdir dir 0o755;
-      let st = Wfc_serve.Store.open_store dir in
-      Wfc_storage.Engine.seed (Wfc_serve.Store.engine st) ~count:(store_count ());
+      let st = Wfc_storage.Engine.open_store dir in
+      Wfc_storage.Engine.seed st ~count:(store_count ());
       seeded_store := Some st;
       st
   in
@@ -815,8 +815,7 @@ let scenarios : (string * (unit -> int option * string option)) list =
     (None, None)
   in
   let store_put = fun () ->
-    let st = store_env () in
-    let eng = Wfc_serve.Store.engine st in
+    let eng = store_env () in
     timed_ops (store_ops ()) (fun i ->
         let digest = Digest.to_hex (Digest.string (Printf.sprintf "bench-put-%d" i)) in
         Wfc_storage.Engine.put eng
@@ -841,12 +840,12 @@ let scenarios : (string * (unit -> int option * string option)) list =
           }) ()
   in
   let store_get ~warm = fun () ->
-    let st = store_env () in
+    let seeded = store_env () in
     (* a cold get must hit the disk: a fresh handle has an empty LRU, and
        every op asks a distinct digest so no op warms the next. A cached
        get asks the same digests through a handle that just read them all
        (cap 4096 >= ops), so every op is an LRU hit. *)
-    let eng = Wfc_storage.Engine.open_store (Wfc_serve.Store.dir st) in
+    let eng = Wfc_storage.Engine.open_store (Wfc_storage.Engine.dir seeded) in
     let ask i =
       ignore
         (Wfc_storage.Engine.find eng ~digest:(seed_digest i) ~model:"wait-free"
@@ -859,8 +858,7 @@ let scenarios : (string * (unit -> int option * string option)) list =
     timed_ops (store_ops ()) ask ()
   in
   let store_ls = fun () ->
-    let st = store_env () in
-    let eng = Wfc_serve.Store.engine st in
+    let eng = store_env () in
     let reps = if !quick_scenarios then 5 else 20 in
     timed_ops
       ~extra:[ ("entries", Wfc_obs.Json.Int (List.length (Wfc_storage.Engine.ls eng))) ]
@@ -877,12 +875,12 @@ let scenarios : (string * (unit -> int option * string option)) list =
     let dir = Filename.temp_file "wfc-bench-skel" "" in
     Sys.remove dir;
     Unix.mkdir dir 0o755;
-    let st = Wfc_serve.Store.open_store dir in
+    let st = Wfc_storage.Engine.open_store dir in
     Sds.clear_cache ();
     let t0 = Wfc_obs.Metrics.now_s () in
     ignore (Sds.standard ~dim:2 ~levels:3);
     let cold_s = Wfc_obs.Metrics.now_s () -. t0 in
-    Wfc_serve.Store.attach_skeletons st;
+    Wfc_storage.Engine.attach_skeletons st;
     Fun.protect
       ~finally:(fun () -> Sds.set_skeleton_store None)
       (fun () ->

@@ -17,6 +17,9 @@ open Wfc_topology
 open Wfc_model
 open Wfc_tasks
 open Wfc_core
+module Engine = Wfc_storage.Engine
+module Manifest = Wfc_storage.Manifest
+module Record = Wfc_storage.Record
 
 let exit_exhausted = 3
 
@@ -525,29 +528,12 @@ let store_req_arg =
     value & opt string ".wfc-store"
     & info [ "store" ] ~docv:"DIR" ~doc:"The wfc.store.v2 verdict store directory.")
 
-(* --codec parses eagerly, like --model *)
-let codec_conv : Wfc_storage.Codec.t Arg.conv =
-  let parse s = Result.map_error (fun e -> `Msg e) (Wfc_storage.Codec.of_string s) in
-  Arg.conv ~docv:"CODEC"
-    (parse, fun ppf c -> Format.pp_print_string ppf (Wfc_storage.Codec.to_string c))
-
-let codec_arg =
-  Arg.(
-    value
-    & opt codec_conv Wfc_storage.Codec.Json
-    & info [ "codec" ] ~docv:"CODEC"
-        ~doc:
-          "Record encoding for new store writes: $(b,json) (canonical JSON, default) or \
-           $(b,compact) (varint/byte-packed binary, .wfcb). Negotiated per record and \
-           recorded in the manifest — a store mixes codecs freely and reads both; the \
-           canonical verdict bytes a query answers with are codec-independent.")
-
 (* Opening a store for solving also points Sds.iterate at its skeleton
    keyspace, so cold solves against already-seen subdivisions replay
    persisted SDS steps instead of re-enumerating. *)
-let open_solving_store ?codec dir =
-  let st = Wfc_serve.Store.open_store ?codec dir in
-  Wfc_serve.Store.attach_skeletons st;
+let open_solving_store dir =
+  let st = Engine.open_store dir in
+  Engine.attach_skeletons st;
   st
 
 let verdict_out_arg =
@@ -613,17 +599,17 @@ let spec_string ~task ~procs ~param ~max_level ~model =
     }
 
 let fresh_record ~t ~task ~procs ~param ~max_level ~model outcome =
-  Wfc_serve.Store.record ~task:t
+  Record.make ~task:t
     ~spec:(spec_string ~task ~procs ~param ~max_level ~model)
     ~model ~max_level ~budget:Solvability.default_budget outcome
 
 let solve_cmd =
   let run task procs param max_level domains portfolio model no_symmetry no_collapse validate
-      search_trace store_dir codec verdict_out perfetto stats json =
+      search_trace store_dir verdict_out perfetto stats json =
     apply_domains domains;
     let opts =
       Solvability.options ~trace:search_trace
-        ?mode:(if portfolio then Some `Portfolio else None)
+        ~mode:(if portfolio then `Portfolio else `Batch)
         ~model ~symmetry:(not no_symmetry) ~collapse:(not no_collapse) ()
     in
     let model_name = Model.to_string model in
@@ -631,23 +617,23 @@ let solve_cmd =
     Format.printf "%a@." Task.pp_stats t;
     if not (Model.equal model Model.wait_free) then
       Format.printf "model: %s@." model_name;
-    let store = Option.map (open_solving_store ~codec) store_dir in
+    let store = Option.map open_solving_store store_dir in
     let emit_verdict record =
       match verdict_out with
-      | Some path -> write_json_to path (Wfc_serve.Store.verdict_json record)
+      | Some path -> write_json_to path (Record.verdict_json record)
       | None -> ()
     in
     (* a store hit answers without building a single subdivision *)
     let cached =
       match store with
       | Some st ->
-        Wfc_serve.Store.find st ~digest:(Task.digest t) ~model:model_name ~max_level
+        Engine.find st ~digest:(Task.digest t) ~model:model_name ~max_level
           ~budget:Solvability.default_budget
       | None -> None
     in
     match cached with
     | Some r ->
-      let o = r.Wfc_serve.Store.outcome in
+      let o = r.Record.outcome in
       Format.printf "verdict from store: %s at level %d (nodes=%d)@." o.Solvability.o_verdict
         o.Solvability.o_level o.Solvability.o_nodes;
       emit_verdict r;
@@ -721,7 +707,7 @@ let solve_cmd =
       in
       (match (store, verdict) with
       | Some st, (Solvability.Solvable _ | Solvability.Unsolvable_at _) ->
-        Wfc_serve.Store.put st record
+        Engine.put st record
       | _ -> () (* exhausted: not a reusable fact about the task *));
       emit_verdict record
     end;
@@ -746,13 +732,12 @@ let solve_cmd =
   let portfolio =
     Arg.(
       value & flag
-      & info [ "portfolio" ]
+      & info [ "portfolio" ] ~env:(Cmd.Env.info "WFC_PORTFOLIO")
           ~doc:
             "With --domains D > 1, race D deterministic variable orders per level and take \
-             the first verdict instead of splitting one search (default comes from the \
-             WFC_PORTFOLIO environment variable). Verdicts and decision maps are unchanged; \
-             node tallies describe the winning racer. Watch it under --stats via the \
-             par.portfolio_* counters.")
+             the first verdict instead of splitting one search. Verdicts and decision maps \
+             are unchanged; node tallies describe the winning racer. Watch it under --stats \
+             via the par.portfolio_* counters.")
   in
   let validate =
     Arg.(value & flag & info [ "validate" ] ~doc:"Run the found map as a distributed protocol.")
@@ -784,7 +769,7 @@ let solve_cmd =
     Term.(
       const run $ task $ procs_arg $ param $ max_level $ domains_arg $ portfolio $ model_arg
       $ no_symmetry_arg $ no_collapse_arg $ validate $ search_trace $ store_opt_arg
-      $ codec_arg $ verdict_out_arg $ solve_perfetto $ Output.stats_arg $ Output.json_arg)
+      $ verdict_out_arg $ solve_perfetto $ Output.stats_arg $ Output.json_arg)
 
 (* ---------- serve / query / store ---------- *)
 
@@ -903,7 +888,7 @@ let serve_cmd =
       $ log $ log_level $ slow_ms $ stop)
 
 let query_cmd =
-  let run task procs param max_level model no_symmetry no_collapse socket store_dir codec
+  let run task procs param max_level model no_symmetry no_collapse socket store_dir
       domains no_daemon ping verdict_out stats json =
     apply_domains domains;
     let model_name = Model.to_string model in
@@ -934,10 +919,10 @@ let query_cmd =
       in
       let budget = Solvability.default_budget in
       let finish ?req_id ?timing ~source record =
-        let o = record.Wfc_serve.Store.outcome in
+        let o = record.Record.outcome in
         Format.printf "verdict: %s at level %d (source=%s, nodes=%d)@."
           o.Solvability.o_verdict o.Solvability.o_level source o.Solvability.o_nodes;
-        Format.printf "digest: %s@." record.Wfc_serve.Store.digest;
+        Format.printf "digest: %s@." record.Record.digest;
         (* daemon-side telemetry, echoed on the wire; absent on inline solves
            and against pre-telemetry daemons *)
         (match timing with
@@ -947,7 +932,7 @@ let query_cmd =
             t.Wfc_serve.Wire.total_s
         | None -> ());
         (match verdict_out with
-        | Some path -> write_json_to path (Wfc_serve.Store.verdict_json record)
+        | Some path -> write_json_to path (Record.verdict_json record)
         | None -> ());
         Output.emit ~stats ~json
           [
@@ -957,7 +942,7 @@ let query_cmd =
                 ([
                    ("source", Wfc_obs.Json.String source);
                    ("level", Wfc_obs.Json.Int o.Solvability.o_level);
-                   ("digest", Wfc_obs.Json.String record.Wfc_serve.Store.digest);
+                   ("digest", Wfc_obs.Json.String record.Record.digest);
                  ]
                 @ (match req_id with
                   | Some id -> [ ("req_id", Wfc_obs.Json.String id) ]
@@ -981,7 +966,7 @@ let query_cmd =
           Format.eprintf "%s@." m;
           1
         | t -> (
-          let store = Option.map (open_solving_store ~codec) store_dir in
+          let store = Option.map open_solving_store store_dir in
           let digest = Task.digest t in
           let committed = ref None in
           let hook =
@@ -991,15 +976,15 @@ let query_cmd =
                   Solvability.lookup =
                     (fun () ->
                       Option.map
-                        (fun r -> r.Wfc_serve.Store.outcome)
-                        (Wfc_serve.Store.find st ~digest ~model:model_name ~max_level
+                        (fun r -> r.Record.outcome)
+                        (Engine.find st ~digest ~model:model_name ~max_level
                            ~budget));
                   commit =
                     (fun o ->
                       let r =
                         fresh_record ~t ~task ~procs ~param ~max_level ~model:model_name o
                       in
-                      Wfc_serve.Store.put st r;
+                      Engine.put st r;
                       committed := Some r);
                 })
               store
@@ -1021,7 +1006,7 @@ let query_cmd =
               match
                 Option.map
                   (fun st ->
-                    Wfc_serve.Store.find st ~digest ~model:model_name ~max_level ~budget)
+                    Engine.find st ~digest ~model:model_name ~max_level ~budget)
                   store
               with
               | Some (Some r) -> r
@@ -1074,7 +1059,7 @@ let query_cmd =
           coalesced wait, inline).")
     Term.(
       const run $ task_arg $ procs_arg $ param_arg $ max_level_arg $ model_arg
-      $ no_symmetry_arg $ no_collapse_arg $ socket_arg $ store_opt_arg $ codec_arg
+      $ no_symmetry_arg $ no_collapse_arg $ socket_arg $ store_opt_arg
       $ domains_arg $ no_daemon $ ping $ verdict_out_arg $ Output.stats_arg $ Output.json_arg)
 
 let stats_cmd =
@@ -1256,10 +1241,10 @@ let store_cmd =
        output order is the manifest's sorted live view, deterministic
        whatever readdir would say. *)
     let run store_dir json =
-      let st = Wfc_serve.Store.open_store store_dir in
-      let entries = Wfc_storage.Engine.ls (Wfc_serve.Store.engine st) in
+      let st = Engine.open_store store_dir in
+      let entries = Engine.ls st in
       let verdicts, skeletons =
-        List.partition (fun e -> e.Wfc_storage.Manifest.kind = Wfc_storage.Manifest.Verdict) entries
+        List.partition (fun e -> e.Manifest.kind = Manifest.Verdict) entries
       in
       if json then
         print_endline
@@ -1272,15 +1257,13 @@ let store_cmd =
                   ("skeletons", Wfc_obs.Json.Int (List.length skeletons));
                   ( "records",
                     Wfc_obs.Json.Arr
-                      (List.map Wfc_storage.Manifest.entry_to_json verdicts) );
+                      (List.map Manifest.entry_to_json verdicts) );
                 ]))
       else begin
         List.iter
           (fun e ->
-            Format.printf "%-60s %-11s level=%d %-14s codec=%s@."
-              e.Wfc_storage.Manifest.rel e.Wfc_storage.Manifest.verdict
-              e.Wfc_storage.Manifest.level e.Wfc_storage.Manifest.model
-              e.Wfc_storage.Manifest.codec)
+            Format.printf "%-60s %-11s level=%d %s@." e.Manifest.rel e.Manifest.verdict
+              e.Manifest.level e.Manifest.model)
           verdicts;
         Format.printf "%d record(s), %d skeleton(s) in %s@." (List.length verdicts)
           (List.length skeletons) store_dir
@@ -1292,21 +1275,21 @@ let store_cmd =
          ~doc:
            "List the live records of a verdict store from its manifest (sorted, \
             deterministic; no directory walk). $(b,--json) prints a wfc.store.ls.v1 \
-            object for machine consumption. Flat pre-migration records are not indexed — \
-            run $(b,wfc store migrate) first, or $(b,wfc store verify) to see them.")
+            object for machine consumption. Opening a pre-sharding store migrates its flat \
+            records first, so they are listed too.")
       Term.(const run $ store_req_arg $ json_flag)
   in
   let verify =
     let run store_dir json =
-      let st = Wfc_serve.Store.open_store store_dir in
-      let r = Wfc_serve.Store.verify st in
+      let st = Engine.open_store store_dir in
+      let r = Engine.verify st in
       if json then
         print_endline
           (Wfc_obs.Json.to_string
              (Wfc_obs.Json.Obj
                 [
                   ("schema", Wfc_obs.Json.String "wfc.store.verify.v1");
-                  ("valid", Wfc_obs.Json.Int r.Wfc_serve.Store.valid);
+                  ("valid", Wfc_obs.Json.Int r.Engine.valid);
                   ( "corrupt",
                     Wfc_obs.Json.Arr
                       (List.map
@@ -1316,35 +1299,35 @@ let store_cmd =
                                ("path", Wfc_obs.Json.String n);
                                ("error", Wfc_obs.Json.String e);
                              ])
-                         r.Wfc_serve.Store.corrupt) );
+                         r.Engine.corrupt) );
                   ( "mismatched",
                     Wfc_obs.Json.Arr
                       (List.map
                          (fun n -> Wfc_obs.Json.String n)
-                         r.Wfc_serve.Store.mismatched) );
-                  ("quarantined", Wfc_obs.Json.Int r.Wfc_serve.Store.quarantined);
-                  ("stray_tmp", Wfc_obs.Json.Int r.Wfc_serve.Store.stray_tmp);
-                  ("unindexed", Wfc_obs.Json.Int r.Wfc_serve.Store.unindexed);
-                  ("missing", Wfc_obs.Json.Int r.Wfc_serve.Store.missing);
+                         r.Engine.mismatched) );
+                  ("quarantined", Wfc_obs.Json.Int r.Engine.quarantined);
+                  ("stray_tmp", Wfc_obs.Json.Int r.Engine.stray_tmp);
+                  ("unindexed", Wfc_obs.Json.Int r.Engine.unindexed);
+                  ("missing", Wfc_obs.Json.Int r.Engine.missing);
                   ( "bad_manifest_lines",
-                    Wfc_obs.Json.Int r.Wfc_serve.Store.bad_manifest_lines );
+                    Wfc_obs.Json.Int r.Engine.bad_manifest_lines );
                 ]))
       else begin
-        Format.printf "valid: %d@." r.Wfc_serve.Store.valid;
+        Format.printf "valid: %d@." r.Engine.valid;
         List.iter
           (fun (name, e) -> Format.printf "corrupt: %s (%s)@." name e)
-          r.Wfc_serve.Store.corrupt;
+          r.Engine.corrupt;
         List.iter
           (fun name -> Format.printf "digest mismatch: %s@." name)
-          r.Wfc_serve.Store.mismatched;
-        Format.printf "quarantined: %d@." r.Wfc_serve.Store.quarantined;
-        Format.printf "stray tmp files: %d@." r.Wfc_serve.Store.stray_tmp;
-        Format.printf "unindexed files: %d@." r.Wfc_serve.Store.unindexed;
+          r.Engine.mismatched;
+        Format.printf "quarantined: %d@." r.Engine.quarantined;
+        Format.printf "stray tmp files: %d@." r.Engine.stray_tmp;
+        Format.printf "unindexed files: %d@." r.Engine.unindexed;
         Format.printf "missing files (live in manifest, gone on disk): %d@."
-          r.Wfc_serve.Store.missing;
-        Format.printf "torn manifest lines: %d@." r.Wfc_serve.Store.bad_manifest_lines
+          r.Engine.missing;
+        Format.printf "torn manifest lines: %d@." r.Engine.bad_manifest_lines
       end;
-      if r.Wfc_serve.Store.corrupt = [] && r.Wfc_serve.Store.mismatched = [] then 0 else 1
+      if r.Engine.corrupt = [] && r.Engine.mismatched = [] then 0 else 1
     in
     Cmd.v
       (Cmd.info "verify"
@@ -1359,9 +1342,9 @@ let store_cmd =
   in
   let gc =
     let run store_dir =
-      let st = Wfc_serve.Store.open_store store_dir in
+      let st = Engine.open_store store_dir in
       let removed = ref 0 in
-      Wfc_serve.Store.gc st ~removed;
+      Engine.gc st ~removed;
       Format.printf "removed %d quarantined/stray file(s); manifest compacted@." !removed;
       0
     in
@@ -1373,16 +1356,15 @@ let store_cmd =
       Term.(const run $ store_req_arg)
   in
   let migrate =
-    let run store_dir codec =
-      let st = Wfc_serve.Store.open_store ~codec store_dir in
-      let r = Wfc_serve.Store.migrate st in
-      Format.printf "migrated: %d@." r.Wfc_serve.Store.migrated;
-      Format.printf "already sharded: %d@." r.Wfc_serve.Store.untouched;
-      Format.printf "re-indexed: %d@." r.Wfc_serve.Store.adopted;
+    let run store_dir =
+      let r = Engine.migrate store_dir in
+      Format.printf "migrated: %d@." r.Engine.migrated;
+      Format.printf "already sharded: %d@." r.Engine.untouched;
+      Format.printf "re-indexed: %d@." r.Engine.adopted;
       List.iter
         (fun (name, e) -> Format.printf "skipped: %s (%s)@." name e)
-        r.Wfc_serve.Store.skipped;
-      if r.Wfc_serve.Store.skipped = [] then 0 else 1
+        r.Engine.skipped;
+      if r.Engine.skipped = [] then 0 else 1
     in
     Cmd.v
       (Cmd.info "migrate"
@@ -1390,8 +1372,10 @@ let store_cmd =
            "Rewrite flat records — v1 (pre-model, implicitly wait-free) and v2 (flat \
             pre-sharding) — under the sharded ab/cd layout with manifest entries, and \
             re-index any canonical file the manifest has lost. Idempotent; corrupt or \
-            misfiled records are reported and left for $(b,wfc store verify) / $(b,gc).")
-      Term.(const run $ store_req_arg $ codec_arg)
+            misfiled records are reported and left for $(b,wfc store verify) / $(b,gc). \
+            Every other command that opens a store runs the same migration when the store \
+            root holds a flat record.")
+      Term.(const run $ store_req_arg)
   in
   let seed =
     let count =
@@ -1399,9 +1383,9 @@ let store_cmd =
         value & opt int 1000
         & info [ "count" ] ~docv:"N" ~doc:"Number of synthetic records to write.")
     in
-    let run store_dir codec count =
-      let st = Wfc_serve.Store.open_store ~codec store_dir in
-      Wfc_storage.Engine.seed (Wfc_serve.Store.engine st) ~count;
+    let run store_dir count =
+      let st = Engine.open_store store_dir in
+      Engine.seed st ~count;
       Format.printf "seeded %d synthetic record(s) into %s@." count store_dir;
       0
     in
@@ -1410,12 +1394,12 @@ let store_cmd =
          ~doc:
            "Populate a store with deterministic synthetic records (benchmark / CI scale \
             runs — not real verdicts).")
-      Term.(const run $ store_req_arg $ codec_arg $ count)
+      Term.(const run $ store_req_arg $ count)
   in
   let rebuild =
     let run store_dir =
-      let st = Wfc_serve.Store.open_store store_dir in
-      let n = Wfc_storage.Engine.rebuild_manifest (Wfc_serve.Store.engine st) in
+      let st = Engine.open_store store_dir in
+      let n = Engine.rebuild_manifest st in
       Format.printf "manifest rebuilt: %d live entr%s@." n (if n = 1 then "y" else "ies");
       0
     in
@@ -1431,7 +1415,7 @@ let store_cmd =
     (Cmd.info "store"
        ~doc:
          "Inspect and maintain verdict stores: sharded wfc.store.v2 records under a \
-          MANIFEST.jsonl index, with per-record codecs and a skeletons keyspace.")
+          MANIFEST.jsonl index, beside a skeletons keyspace.")
     [ ls; verify; gc; migrate; seed; rebuild ]
 
 (* ---------- models ---------- *)
@@ -1604,19 +1588,19 @@ let check_json_cmd =
             Format.eprintf "%s: invalid trace (%s)@." file e;
             1)
       | Some (Wfc_obs.Json.String s)
-        when s = Wfc_serve.Store.schema_version || s = Wfc_serve.Store.schema_version_v1 ->
+        when s = Record.schema_version || s = Record.schema_version_v1 ->
         if scenario <> None then begin
           Format.eprintf "%s: --scenario only applies to %s reports@." file
             Wfc_obs.Report.schema_version;
           1
         end
         else (
-          match Wfc_serve.Store.record_of_json j with
+          match Record.record_of_json j with
           | Error e ->
             Format.eprintf "%s: invalid store record (%s)@." file e;
             1
           | Ok r ->
-            let o = r.Wfc_serve.Store.outcome in
+            let o = r.Record.outcome in
             let verdict_ok =
               match expect_verdict with
               | None -> true

@@ -1,4 +1,6 @@
 open Wfc_core
+module Engine = Wfc_storage.Engine
+module Record = Wfc_storage.Record
 
 let version = "1.0.0"
 
@@ -102,7 +104,7 @@ type job = {
   j_model : Wfc_tasks.Model.t;  (** parsed at admission; unknown names never enqueue *)
   j_req_id : string;  (** the admitting request's id, for worker-side log lines *)
   j_enqueued_at : float;
-  mutable j_result : (Store.record * stages, string) result option;
+  mutable j_result : (Record.record * stages, string) result option;
 }
 
 (* Per-worker introspection for [wfc stats]: what each scheduler thread is
@@ -120,7 +122,7 @@ type worker_info = {
    bound); jobs being solved are tracked only through [inflight]. *)
 type state = {
   cfg : config;
-  store : Store.t;
+  store : Engine.t;
   started_at : float;
   log : Wfc_obs.Log.t option;
   m : Mutex.t;
@@ -193,9 +195,9 @@ let compute st (job : job) ~queue_wait_s =
   let max_level = job.j_spec.Wire.max_level in
   let model = job.j_spec.Wire.model in
   let budget = Solvability.default_budget in
-  let find () = Store.find st.store ~digest:job.j_digest ~model ~max_level ~budget in
+  let find () = Engine.find st.store ~digest:job.j_digest ~model ~max_level ~budget in
   let fresh outcome =
-    Store.record ~task:job.j_task ~spec:(Wire.spec_to_string job.j_spec) ~model ~max_level
+    Record.make ~task:job.j_task ~spec:(Wire.spec_to_string job.j_spec) ~model ~max_level
       ~budget outcome
   in
   let committed = ref None in
@@ -203,12 +205,12 @@ let compute st (job : job) ~queue_wait_s =
   let hook =
     {
       Solvability.lookup =
-        (fun () -> Option.map (fun r -> r.Store.outcome) (find ()));
+        (fun () -> Option.map (fun r -> r.Record.outcome) (find ()));
       commit =
         (fun outcome ->
           let r = fresh outcome in
           let t0 = Wfc_obs.Metrics.now_s () in
-          Store.put st.store r;
+          Engine.put st.store r;
           store_s := !store_s +. (Wfc_obs.Metrics.now_s () -. t0);
           committed := Some r);
     }
@@ -308,7 +310,7 @@ let handle_query st ~req_id (spec : Wire.spec) =
   in
   (* Every answered verdict funnels through here: one place observes the
      latency histograms, writes the query log line, and flags outliers. *)
-  let served ~source ~stages (record : Store.record) =
+  let served ~source ~stages (record : Record.record) =
     let total_s = Wfc_obs.Metrics.now_s () -. t0 in
     Wfc_obs.Metrics.observe h_latency total_s;
     Wfc_obs.Metrics.observe (h_latency_of_source source) total_s;
@@ -321,7 +323,7 @@ let handle_query st ~req_id (spec : Wire.spec) =
         total_s;
       }
     in
-    let o = record.Store.outcome in
+    let o = record.Record.outcome in
     let outcome_fields =
       let open Wfc_obs.Json in
       [
@@ -387,7 +389,7 @@ let handle_query st ~req_id (spec : Wire.spec) =
             | None -> (
               let t_find = Wfc_obs.Metrics.now_s () in
               match
-                Store.find st.store ~digest ~model:spec.Wire.model
+                Engine.find st.store ~digest ~model:spec.Wire.model
                   ~max_level:spec.Wire.max_level ~budget:Solvability.default_budget
               with
               | Some r ->
@@ -553,9 +555,9 @@ let run cfg =
   (* a client vanishing mid-response must surface as EPIPE, not kill us *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let log = Option.map (Wfc_obs.Log.open_log ~level:cfg.log_level) cfg.log in
-  let store = Store.open_store cfg.store_dir in
+  let store = Engine.open_store cfg.store_dir in
   (* cold solves replay persisted SDS skeletons from this store *)
-  Store.attach_skeletons store;
+  Engine.attach_skeletons store;
   let st =
     {
       cfg;

@@ -1,6 +1,6 @@
 (** The long-running solvability daemon behind [wfc serve].
 
-    One process owns a {!Store.t} and a Unix-domain socket and answers
+    One process owns a {!Wfc_storage.Engine.t} and a Unix-domain socket and answers
     {!Wire} queries:
 
     - {b store hit} ([serve.hits]): the record is served without building a
@@ -54,7 +54,7 @@
     report. SIGINT/SIGTERM trigger the same clean shutdown as a [shutdown]
     request — every scheduler worker drains the pending queue and finishes
     its in-flight job before the daemon exits; SIGKILL at any instant
-    leaves a loadable store ({!Store.put} is atomic). *)
+    leaves a loadable store ({!Wfc_storage.Engine.put} is atomic). *)
 
 val version : string
 (** The daemon's version string, reported in [pong] and [stats] responses

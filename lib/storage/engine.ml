@@ -1,19 +1,23 @@
 (* The storage engine: sharded layout + manifest index + decoded-record
-   LRU, behind the same question-keyed find/put the flat store answered.
+   LRU, behind a question-keyed find/put.
 
-   Read path: LRU (no syscalls) → stat-probe of the question's sharded
-   paths (both codecs) → flat v2 → flat v1 — probes are direct path stats,
-   never a manifest consultation, so a second process appending to the same
-   store (inline [wfc query --store] beside a daemon) is visible
-   immediately; the manifest only feeds ls/verify/gc, where staleness costs
-   a report line, not a wrong answer.
+   Read path: LRU (no syscalls) → one open of the question's sharded
+   [.json] path. The probe is a direct path read, never a manifest
+   consultation, so a second process appending to the same store (inline
+   [wfc query --store] beside a daemon) is visible immediately; the
+   manifest only feeds ls/verify/gc, where staleness costs a report line,
+   not a wrong answer.
 
-   Write path: encode → atomic publish (unique .wtmp + fsync + rename) →
-   retire superseded copies (other codec, flat names) → fsync'd manifest
-   append → cache fill. A crash at any instant leaves a store verify can
-   explain: at worst a stray temp (reaped by gc) or a durable record whose
-   manifest line is missing (reported as unindexed, re-adopted by
-   migrate). *)
+   Write path: canonical JSON → atomic publish (unique .wtmp + fsync +
+   rename) → fsync'd manifest append → cache fill. A crash at any instant
+   leaves a store verify can explain: at worst a stray temp (reaped by gc)
+   or a durable record whose manifest line is missing (reported as
+   unindexed, re-adopted by migrate).
+
+   Pre-sharding (flat v1/v2) names are known only to [migrate] and
+   [verify]; [open_store] runs [migrate] when one readdir of the root shows
+   a flat-named record, so old stores answer with no manual step and the
+   serving path never probes more than one name. *)
 
 let c_reads = Wfc_obs.Metrics.counter "serve.store.reads"
 
@@ -31,7 +35,6 @@ let default_cache_cap = 4096
 
 type t = {
   root : string;
-  codec : Codec.t;
   cache : Record.record Lru.t;
   cache_mu : Mutex.t;
   manifest : Manifest.t;
@@ -39,21 +42,7 @@ type t = {
 
 let manifest_path root = Filename.concat root Layout.manifest_basename
 
-let open_store ?(cache_cap = default_cache_cap) ?(codec = Codec.Json) root =
-  Layout.mkdir_p root;
-  Layout.mkdir_p (Filename.concat root Layout.quarantine_root);
-  {
-    root;
-    codec;
-    cache =
-      Lru.create cache_cap ~on_evict:(fun _ _ -> Wfc_obs.Metrics.incr c_evict);
-    cache_mu = Mutex.create ();
-    manifest = Manifest.create (manifest_path root);
-  }
-
 let dir t = t.root
-
-let codec t = t.codec
 
 let close t = Manifest.close t.manifest
 
@@ -70,8 +59,62 @@ let cache_key ~digest ~model ~max_level =
 
 let abs t rel = Filename.concat t.root rel
 
-let path_of t ~digest ~model ~max_level =
-  abs t (Layout.verdict_rel ~digest ~model ~max_level ~ext:(Codec.extension t.codec))
+let path_of t ~digest ~model ~max_level = abs t (Layout.verdict_rel ~digest ~model ~max_level)
+
+(* ---- manifest entries ---- *)
+
+let del_entry kind rel =
+  {
+    Manifest.op = Del;
+    kind;
+    rel;
+    digest = "";
+    model = "";
+    max_level = 0;
+    budget = 0;
+    verdict = "";
+    level = 0;
+    created_at = 0.;
+  }
+
+let verdict_entry ~rel (r : Record.record) =
+  {
+    Manifest.op = Put;
+    kind = Verdict;
+    rel;
+    digest = r.Record.digest;
+    model = r.Record.model;
+    max_level = r.Record.max_level;
+    budget = r.Record.budget;
+    verdict = r.Record.outcome.Wfc_core.Solvability.o_verdict;
+    level = r.Record.outcome.Wfc_core.Solvability.o_level;
+    created_at = r.Record.created_at;
+  }
+
+let skeleton_entry ~rel ~digest ~level ~created_at =
+  {
+    Manifest.op = Put;
+    kind = Skeleton;
+    rel;
+    digest;
+    model = "";
+    max_level = level;
+    budget = 0;
+    verdict = "";
+    level;
+    created_at;
+  }
+
+(* A skeleton found by a walk rather than a put: digest and level come back
+   out of its basename ([<digest>.L<b>.json]). *)
+let walked_skeleton_entry rel =
+  let b = Filename.basename rel in
+  let digest = try String.sub b 0 32 with Invalid_argument _ -> "" in
+  let level =
+    try Scanf.sscanf (Filename.remove_extension b) "%_s@.L%d" (fun l -> l)
+    with Scanf.Scan_failure _ | End_of_file | Failure _ -> 0
+  in
+  skeleton_entry ~rel ~digest ~level ~created_at:0.
 
 (* ---- quarantine ---- *)
 
@@ -85,45 +128,19 @@ let quarantine t rel =
    with Unix.Unix_error _ -> (
      try Sys.remove path with Sys_error _ -> ()));
   (* keep the index honest: the artifact is gone from its filed path *)
-  Manifest.append t.manifest
-    {
-      Manifest.op = Del;
-      kind = Verdict;
-      rel;
-      digest = "";
-      model = "";
-      max_level = 0;
-      budget = 0;
-      verdict = "";
-      level = 0;
-      codec = "";
-      created_at = 0.;
-    }
+  Manifest.append t.manifest (del_entry Verdict rel)
 
 (* ---- read path ---- *)
 
-let read_record ~rel_or_path path =
-  let codec = Option.value (Codec.of_path rel_or_path) ~default:Codec.Json in
+let decode contents =
+  match Wfc_obs.Json.parse contents with
+  | Error e -> Error (Printf.sprintf "invalid JSON (%s)" e)
+  | Ok j -> Record.record_of_json j
+
+let read_record path =
   match Layout.read_file path with
   | exception Sys_error e -> Error (`Unreadable e)
-  | contents -> (
-    match Codec.decode codec contents with
-    | Error e -> Error (`Corrupt e)
-    | Ok r -> Ok r)
-
-(* The stat-probe order a question resolves through. Both codec extensions
-   are probed — codec choice is per record, a store can mix freely — then
-   the flat v2 name and (wait-free only) the flat v1 name, so pre-sharding
-   stores answer without migration. *)
-let candidate_rels ~digest ~model ~max_level =
-  let sharded ext = Layout.verdict_rel ~digest ~model ~max_level ~ext in
-  let flats =
-    Layout.flat_basename ~digest ~model ~max_level
-    ::
-    (if model = "wait-free" then [ Layout.flat_basename_v1 ~digest ~max_level ]
-     else [])
-  in
-  (sharded ".json" :: sharded ".wfcb" :: flats)
+  | contents -> Result.map_error (fun e -> `Corrupt e) (decode contents)
 
 let find t ~digest ~model ~max_level ~budget =
   let key = cache_key ~digest ~model ~max_level in
@@ -135,86 +152,34 @@ let find t ~digest ~model ~max_level ~budget =
     if r.Record.budget = budget then Some r else None
   | None -> (
     Wfc_obs.Metrics.incr c_miss;
-    let rel =
-      List.find_opt
-        (fun rel -> Sys.file_exists (abs t rel))
-        (candidate_rels ~digest ~model ~max_level)
-    in
-    match rel with
-    | None -> None
-    | Some rel -> (
+    let rel = Layout.verdict_rel ~digest ~model ~max_level in
+    match read_record (abs t rel) with
+    | Error (`Unreadable _) -> None
+    | read -> (
       Wfc_obs.Metrics.incr c_reads;
-      match read_record ~rel_or_path:rel (abs t rel) with
-      | Ok r
-        when r.Record.digest = digest && r.Record.model = model
-             && r.Record.budget = budget ->
-        with_cache t (fun c -> Lru.put c key r);
-        Some r
-      | Ok r when r.Record.digest <> digest || r.Record.model <> model ->
-        (* filed under the wrong name: never serve it *)
-        quarantine t rel;
-        None
-      | Ok _ -> None (* different budget: a miss, and the record stays *)
-      | Error (`Unreadable _) -> None
-      | Error (`Corrupt _) ->
+      match read with
+      | Ok r when r.Record.digest = digest && r.Record.model = model ->
+        if r.Record.budget <> budget then None
+          (* different budget: a miss, and the record stays *)
+        else begin
+          with_cache t (fun c -> Lru.put c key r);
+          Some r
+        end
+      | _ ->
+        (* corrupt, or filed under the wrong name: never serve it *)
         quarantine t rel;
         None))
 
 (* ---- write path ---- *)
 
-let manifest_put_entry ~rel ~codec (r : Record.record) =
-  {
-    Manifest.op = Put;
-    kind = Verdict;
-    rel;
-    digest = r.Record.digest;
-    model = r.Record.model;
-    max_level = r.Record.max_level;
-    budget = r.Record.budget;
-    verdict = r.Record.outcome.Wfc_core.Solvability.o_verdict;
-    level = r.Record.outcome.Wfc_core.Solvability.o_level;
-    codec = Codec.to_string codec;
-    created_at = r.Record.created_at;
-  }
-
-let remove_superseded t rels =
-  List.iter
-    (fun rel ->
-      let path = abs t rel in
-      if Sys.file_exists path then begin
-        (try Sys.remove path with Sys_error _ -> ());
-        Manifest.append t.manifest
-          {
-            Manifest.op = Del;
-            kind = Verdict;
-            rel;
-            digest = "";
-            model = "";
-            max_level = 0;
-            budget = 0;
-            verdict = "";
-            level = 0;
-            codec = "";
-            created_at = 0.;
-          }
-      end)
-    rels
-
 let put t (r : Record.record) =
   let digest = r.Record.digest
   and model = r.Record.model
   and max_level = r.Record.max_level in
-  let ext = Codec.extension t.codec in
-  let rel = Layout.verdict_rel ~digest ~model ~max_level ~ext in
-  Layout.atomic_write (abs t rel) (Codec.encode t.codec r);
+  let rel = Layout.verdict_rel ~digest ~model ~max_level in
+  Layout.atomic_write (abs t rel) (Wfc_obs.Json.to_string (Record.record_to_json r));
   Wfc_obs.Metrics.incr c_puts;
-  (* one live copy per question: retire the other-codec sharded file and
-     any flat-named predecessor the read path would otherwise still probe *)
-  remove_superseded t
-    (List.filter
-       (fun c -> c <> rel)
-       (candidate_rels ~digest ~model ~max_level));
-  Manifest.append t.manifest (manifest_put_entry ~rel ~codec:t.codec r);
+  Manifest.append t.manifest (verdict_entry ~rel r);
   with_cache t (fun c -> Lru.put c (cache_key ~digest ~model ~max_level) r)
 
 (* ---- skeleton keyspace ---- *)
@@ -228,20 +193,21 @@ let find_skeleton t ~digest ~level =
 let put_skeleton t ~digest ~level ~created_at data =
   let rel = Layout.skeleton_rel ~digest ~level in
   Layout.atomic_write (abs t rel) data;
-  Manifest.append t.manifest
-    {
-      Manifest.op = Put;
-      kind = Skeleton;
-      rel;
-      digest;
-      model = "";
-      max_level = level;
-      budget = 0;
-      verdict = "";
-      level;
-      codec = "json";
-      created_at;
-    }
+  Manifest.append t.manifest (skeleton_entry ~rel ~digest ~level ~created_at)
+
+(* Point [Sds.iterate] at this store's skeleton keyspace: subdivision steps
+   of already-seen complexes replay from one artifact instead of re-running
+   the ordered-partition enumeration. Process-wide (the subdivision memo
+   is too); integrity checking lives in [Sds]. *)
+let attach_skeletons t =
+  Wfc_topology.Sds.set_skeleton_store
+    (Some
+       {
+         Wfc_topology.Sds.load = (fun ~digest ~level -> find_skeleton t ~digest ~level);
+         save =
+           (fun ~digest ~level data ->
+             put_skeleton t ~digest ~level ~created_at:(Unix.gettimeofday ()) data);
+       })
 
 (* ---- scans: ls / entries / verify / migrate / gc ----
 
@@ -253,20 +219,16 @@ let ls t =
   let { Manifest.entries; _ } = Manifest.load (manifest_path t.root) in
   Manifest.live entries
 
-let verdict_entries t =
-  List.filter (fun e -> e.Manifest.kind = Manifest.Verdict) (ls t)
-
 let entries t =
-  List.map
+  List.filter_map
     (fun e ->
-      let rel = e.Manifest.rel in
-      let r =
-        match read_record ~rel_or_path:rel (abs t rel) with
-        | Ok r -> Ok r
-        | Error (`Unreadable e) | Error (`Corrupt e) -> Error e
-      in
-      (rel, r))
-    (verdict_entries t)
+      if e.Manifest.kind <> Manifest.Verdict then None
+      else
+        let rel = e.Manifest.rel in
+        match read_record (abs t rel) with
+        | Ok r -> Some (rel, Ok r)
+        | Error (`Unreadable e) | Error (`Corrupt e) -> Some (rel, Error e))
+    (ls t)
 
 (* A record file is well-named when its filed path is derivable from its
    own body under some accepted scheme: the sharded v3 name, the flat v2
@@ -275,25 +237,21 @@ let well_named rel (r : Record.record) =
   let digest = r.Record.digest
   and model = r.Record.model
   and max_level = r.Record.max_level in
-  let ext =
-    match Codec.of_path rel with
-    | Some c -> Codec.extension c
-    | None -> ".json"
-  in
-  rel = Layout.verdict_rel ~digest ~model ~max_level ~ext
+  rel = Layout.verdict_rel ~digest ~model ~max_level
   || rel = Layout.flat_basename ~digest ~model ~max_level
   || (model = "wait-free" && rel = Layout.flat_basename_v1 ~digest ~max_level)
 
 type file_class = Manifest_file | Quarantined | Tmp | Skeleton_file | Record_file | Other
 
+(* Records are [.json] files; anything else outside the manifest,
+   quarantine, temps and skeletons (a leftover of the retired compact
+   binary codec, say) is not a record and no scan reads it. *)
 let classify rel =
   if rel = Layout.manifest_basename then Manifest_file
-  else if String.length rel > 11 && String.sub rel 0 11 = "quarantine/" then
-    Quarantined
+  else if String.starts_with ~prefix:"quarantine/" rel then Quarantined
   else if Layout.is_tmp rel then Tmp
-  else if String.length rel > 10 && String.sub rel 0 10 = "skeletons/" then
-    Skeleton_file
-  else if Codec.of_path rel <> None then Record_file
+  else if String.starts_with ~prefix:"skeletons/" rel then Skeleton_file
+  else if Filename.check_suffix rel ".json" then Record_file
   else Other
 
 type verify_report = {
@@ -331,7 +289,7 @@ let verify t =
       | Skeleton_file -> seen rel
       | Record_file -> (
         seen rel;
-        match read_record ~rel_or_path:rel (abs t rel) with
+        match read_record (abs t rel) with
         | Error (`Unreadable e) | Error (`Corrupt e) ->
           corrupt := (rel, e) :: !corrupt
         | Ok r ->
@@ -355,12 +313,12 @@ type migrate_report = {
   skipped : (string * string) list;
 }
 
-(* v2→v3 migration, idempotent: every record file not already at its
-   canonical sharded path is re-put (sharded, current codec, same record
-   bytes-wise content and created_at) and its old file removed; canonical
-   files missing a manifest line are adopted (indexed in place). A second
-   run finds only canonical, indexed files and does nothing. *)
-let migrate t =
+(* v1/v2 → v3 migration, idempotent: every record file not already at its
+   canonical sharded path is re-put (sharded, same record content and
+   created_at) and its old file removed; canonical files missing a
+   manifest line are adopted (indexed in place). A second run finds only
+   canonical, indexed files and does nothing. *)
+let migrate_store t =
   let indexed = Hashtbl.create 256 in
   List.iter (fun e -> Hashtbl.replace indexed e.Manifest.rel ()) (ls t);
   let migrated = ref 0 and untouched = ref 0 and adopted = ref 0 and skipped = ref [] in
@@ -371,76 +329,59 @@ let migrate t =
       | Skeleton_file ->
         if not (Hashtbl.mem indexed rel) then begin
           (* adopt: the artifact is fine where it is, only the index lost it *)
-          let b = Filename.basename rel in
-          let digest = try String.sub b 0 32 with Invalid_argument _ -> "" in
-          let level =
-            try Scanf.sscanf (Filename.remove_extension b) "%_s@.L%d" (fun l -> l)
-            with Scanf.Scan_failure _ | End_of_file | Failure _ -> 0
-          in
-          Manifest.append t.manifest
-            {
-              Manifest.op = Put;
-              kind = Skeleton;
-              rel;
-              digest;
-              model = "";
-              max_level = level;
-              budget = 0;
-              verdict = "";
-              level;
-              codec = "json";
-              created_at = 0.;
-            };
+          Manifest.append t.manifest (walked_skeleton_entry rel);
           incr adopted
         end
       | _ -> ());
   List.iter
     (fun rel ->
-      match read_record ~rel_or_path:rel (abs t rel) with
+      match read_record (abs t rel) with
       | Error (`Unreadable e) | Error (`Corrupt e) -> skipped := (rel, e) :: !skipped
       | Ok r ->
-        let ext =
-          match Codec.of_path rel with
-          | Some c -> Codec.extension c
-          | None -> ".json"
-        in
         let canonical =
           Layout.verdict_rel ~digest:r.Record.digest ~model:r.Record.model
-            ~max_level:r.Record.max_level ~ext
+            ~max_level:r.Record.max_level
         in
         if rel = canonical then
           if Hashtbl.mem indexed rel then incr untouched
           else begin
-            let codec = Option.value (Codec.of_path rel) ~default:Codec.Json in
-            Manifest.append t.manifest (manifest_put_entry ~rel ~codec r);
+            Manifest.append t.manifest (verdict_entry ~rel r);
             incr adopted
           end
         else if well_named rel r then begin
-          (* flat v1/v2 (or other-codec) name: rewrite sharded, retire the
-             old file. [put] also removes the flat predecessors itself. *)
+          (* flat v1/v2 name: rewrite sharded, retire the old file *)
           put t r;
-          (if Sys.file_exists (abs t rel) then
-             try Sys.remove (abs t rel) with Sys_error _ -> ());
-          if Hashtbl.mem indexed rel then
-            Manifest.append t.manifest
-              {
-                Manifest.op = Del;
-                kind = Verdict;
-                rel;
-                digest = "";
-                model = "";
-                max_level = 0;
-                budget = 0;
-                verdict = "";
-                level = 0;
-                codec = "";
-                created_at = 0.;
-              };
+          (try Sys.remove (abs t rel) with Sys_error _ -> ());
+          if Hashtbl.mem indexed rel then Manifest.append t.manifest (del_entry Verdict rel);
           incr migrated
         end
         else skipped := (rel, "filed under a name matching no scheme") :: !skipped)
     (List.sort compare !files);
   { migrated = !migrated; untouched = !untouched; adopted = !adopted; skipped = List.rev !skipped }
+
+(* One readdir of the root, no walk: flat-named records only ever sit
+   there, shard directories never end in [.json]. *)
+let has_flat_records root =
+  match Sys.readdir root with
+  | exception Sys_error _ -> false
+  | names -> Array.exists (fun name -> classify name = Record_file) names
+
+let create ?(cache_cap = default_cache_cap) root =
+  Layout.mkdir_p root;
+  Layout.mkdir_p (Filename.concat root Layout.quarantine_root);
+  {
+    root;
+    cache = Lru.create cache_cap ~on_evict:(fun _ _ -> Wfc_obs.Metrics.incr c_evict);
+    cache_mu = Mutex.create ();
+    manifest = Manifest.create (manifest_path root);
+  }
+
+let open_store ?cache_cap root =
+  let t = create ?cache_cap root in
+  if has_flat_records root then ignore (migrate_store t : migrate_report);
+  t
+
+let migrate root = migrate_store (create root)
 
 (* Rebuild the manifest from nothing but the tree — the recovery path that
    makes the manifest derived state. Returns the number of live entries
@@ -450,33 +391,10 @@ let rebuild_manifest t =
   Layout.walk t.root ~f:(fun rel ->
       match classify rel with
       | Record_file -> (
-        match read_record ~rel_or_path:rel (abs t rel) with
+        match read_record (abs t rel) with
         | Error _ -> ()
-        | Ok r ->
-          let codec = Option.value (Codec.of_path rel) ~default:Codec.Json in
-          entries := manifest_put_entry ~rel ~codec r :: !entries)
-      | Skeleton_file ->
-        let b = Filename.basename rel in
-        let digest = try String.sub b 0 32 with Invalid_argument _ -> "" in
-        let level =
-          try Scanf.sscanf (Filename.remove_extension b) "%_s@.L%d" (fun l -> l)
-          with Scanf.Scan_failure _ | End_of_file | Failure _ -> 0
-        in
-        entries :=
-          {
-            Manifest.op = Put;
-            kind = Skeleton;
-            rel;
-            digest;
-            model = "";
-            max_level = level;
-            budget = 0;
-            verdict = "";
-            level;
-            codec = "json";
-            created_at = 0.;
-          }
-          :: !entries
+        | Ok r -> entries := verdict_entry ~rel r :: !entries)
+      | Skeleton_file -> entries := walked_skeleton_entry rel :: !entries
       | _ -> ());
   let entries = List.sort (fun a b -> compare a.Manifest.rel b.Manifest.rel) !entries in
   Manifest.close t.manifest;

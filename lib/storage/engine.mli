@@ -1,46 +1,60 @@
-(** The sharded, manifest-indexed, cache-tiered store (v3 layout).
+(** The content-addressed, sharded, manifest-indexed, cache-tiered verdict
+    store (v3 layout).
 
-    One engine instance serves two keyspaces under one root:
+    A verdict is a pure function of [(task, model, max_level, budget)]: the
+    search is deterministic, so once computed it can be reused by every
+    later process. The store is a cache of those answers, in one record
+    format (canonical JSON, {!Record.record_to_json}). One engine instance
+    serves two keyspaces under one root:
 
-    - {b verdicts} — [ab/cd/<digest>.<model-slug>.L<n>.<ext>], the record
-      of one decided [(task, model, max_level, budget)] question, encoded
-      by a per-record {!Codec} ([.json] canonical / [.wfcb] compact);
+    - {b verdicts} — [ab/cd/<digest>.<model-slug>.L<n>.json], where the
+      digest is {!Wfc_tasks.Task.digest}. Content addressing: two
+      differently-named constructions of the same [(I, O, Δ)] share a
+      record. The budget rides inside the record and is checked on read: a
+      record computed under a different budget is a miss, never a wrong
+      answer;
     - {b skeletons} — [skeletons/ab/cd/<digest>.L<b>.json], a persisted
       [SDS^b] subdivision keyed by the structural digest of its base.
 
     Every mutation appends a fsync'd line to [MANIFEST.jsonl]
     ({!Manifest}); [ls]/[verify]/[gc] answer from that one sequential file.
     The {e serving} path never consults the manifest: {!find} goes LRU →
-    direct stat-probes (sharded both codecs, then flat v2/v1 for
-    pre-sharding stores), so concurrent writers in other processes are
-    visible immediately and manifest staleness can only mis-report, never
-    mis-answer.
+    one read of the question's sharded path, so concurrent writers in other
+    processes are visible immediately and manifest staleness can only
+    mis-report, never mis-answer.
 
-    Counters: [serve.store.{reads,puts,quarantined}] (disk tier, the
-    pre-engine names) and [storage.cache.{hit,miss,evict}] (memory
-    tier). *)
+    Hygiene: writes are atomic (unique [.wtmp] temp + fsync + rename); a
+    corrupt record, or one whose body disagrees with the digest or model it
+    is filed under, is quarantined on read and never served.
+
+    Pre-sharding stores (flat [wfc.store.v2] names in the root, and
+    pre-model [wfc.store.v1] [<digest>.L<n>.json] wait-free records) are
+    migrated when {!open_store} sees one; only {!migrate} and {!verify}
+    know those names.
+
+    Counters: [serve.store.{reads,puts,quarantined}] (disk tier) and
+    [storage.cache.{hit,miss,evict}] (memory tier). *)
 
 type t
 
 val default_cache_cap : int
 
-val open_store : ?cache_cap:int -> ?codec:Codec.t -> string -> t
+val open_store : ?cache_cap:int -> string -> t
 (** Opens (creating root and quarantine dirs) the store at the path.
-    [codec] is the {e write} codec; both codecs are always readable.
     [cache_cap] bounds the decoded-record LRU (default
-    {!default_cache_cap}). *)
+    {!default_cache_cap}). One readdir of the root looks for flat-named
+    records and, if there are any, migrates the store (as {!migrate})
+    before returning — so a pre-sharding store answers from its first
+    open. *)
 
 val dir : t -> string
-
-val codec : t -> Codec.t
 
 val close : t -> unit
 (** Releases the manifest append handle. The store stays usable — the
     handle reopens lazily. *)
 
 val path_of : t -> digest:string -> model:string -> max_level:int -> string
-(** The sharded path {!put} would write for this question under the
-    engine's codec. *)
+(** The sharded path {!put} writes for this question. *)
 
 val find :
   t ->
@@ -52,12 +66,12 @@ val find :
 (** The stored verdict, or [None] on: no record, a different-budget record
     (which stays), or a corrupt/misfiled record (quarantined on the way
     out, with a manifest [Del]). Hits fill and consult the LRU; a cache hit
-    makes no syscall. Wait-free questions fall back to flat v1 paths. *)
+    makes no syscall, a cache miss reads exactly one path. Never raises on
+    store corruption. *)
 
 val put : t -> Record.record -> unit
-(** Atomic durable publish under the sharded path, retiring any superseded
-    copy (other codec, flat v2/v1 names), then manifest append and cache
-    fill. *)
+(** Atomic durable publish under the sharded path, then manifest append
+    and cache fill. *)
 
 val find_skeleton : t -> digest:string -> level:int -> string option
 (** Raw bytes of the persisted [SDS^level] artifact for a base complex
@@ -66,6 +80,12 @@ val find_skeleton : t -> digest:string -> level:int -> string option
 
 val put_skeleton :
   t -> digest:string -> level:int -> created_at:float -> string -> unit
+
+val attach_skeletons : t -> unit
+(** Installs this store's skeleton keyspace as the process-wide
+    {!Wfc_topology.Sds.skeleton_store}: cold solves against already-seen
+    subdivisions replay persisted [SDS] steps instead of re-enumerating
+    ([sds.skeleton.hits] / [sds.skeleton.misses]). *)
 
 val ls : t -> Manifest.entry list
 (** The live manifest view (both keyspaces), sorted by path — one
@@ -78,7 +98,9 @@ val entries : t -> (string * (Record.record, string) result) list
 type verify_report = {
   valid : int;
   corrupt : (string * string) list;  (** record files failing decode *)
-  mismatched : string list;  (** body disagrees with filed path *)
+  mismatched : string list;
+      (** records whose body disagrees with their filed path under every
+          accepted naming scheme (sharded v3, flat v2, wait-free v1) *)
   quarantined : int;  (** files already in quarantine/ *)
   stray_tmp : int;  (** interrupted atomic writes ([*.wtmp]) *)
   unindexed : int;  (** files on disk with no live manifest line (includes
@@ -98,11 +120,14 @@ type migrate_report = {
   skipped : (string * string) list;  (** (path, reason) *)
 }
 
-val migrate : t -> migrate_report
-(** v1/v2 → v3: every well-formed record filed under a flat name is
-    re-put under its sharded path (same record, current codec) and the old
-    file removed; canonical-but-unindexed files (and skeletons) are
-    adopted into the manifest. Idempotent. *)
+val migrate : string -> migrate_report
+(** v1/v2 → v3 for the store at the path: every well-formed record filed
+    under a flat name is re-put under its sharded path (same record) and
+    the old file removed; canonical-but-unindexed files (and skeletons) are
+    adopted into the manifest. Corrupt or misfiled records are left in
+    place and reported. Takes the path rather than an open store because
+    {!open_store} would already have migrated it: the report counts
+    everything this call moved. Idempotent. *)
 
 val rebuild_manifest : t -> int
 (** Regenerates [MANIFEST.jsonl] from nothing but a tree walk, atomically

@@ -23,7 +23,6 @@ type entry = {
   budget : int;  (* 0 for skeletons *)
   verdict : string;  (* "" for skeletons and deletions *)
   level : int;  (* decided level; 0 when not applicable *)
-  codec : string;
   created_at : float;
 }
 
@@ -45,7 +44,6 @@ let entry_to_json e =
       ("budget", Int e.budget);
       ("verdict", String e.verdict);
       ("level", Int e.level);
-      ("codec", String e.codec);
       ("created_at", Float e.created_at);
     ]
 
@@ -94,7 +92,8 @@ let entry_of_json j =
   let* budget = int_member "budget" j in
   let* verdict = string_member "verdict" j in
   let* level = int_member "level" j in
-  let* codec = string_member "codec" j in
+  (* lines written before records became JSON-only also carry a "codec"
+     column; it is ignored *)
   let* created_at = number_member "created_at" j in
   Ok
     {
@@ -107,7 +106,6 @@ let entry_of_json j =
       budget;
       verdict;
       level;
-      codec;
       created_at;
     }
 

@@ -24,7 +24,6 @@ type entry = {
   budget : int;  (** [0] for skeletons *)
   verdict : string;  (** [""] for skeletons and deletions *)
   level : int;  (** decided level; [0] when not applicable *)
-  codec : string;
   created_at : float;
 }
 

@@ -1,12 +1,9 @@
 (** The verdict record: one decided [(task, model, max_level, budget)]
     question, plus its provenance (search cost, timestamps).
 
-    This is the [wfc.store.v2] object of the serving layer, moved into the
-    storage engine so every codec (canonical JSON, compact binary) and every
-    backend (flat v2, sharded v3) serializes exactly one type. The JSON
-    renderings and parsing are byte-for-byte those of the pre-engine
-    [Wfc_serve.Store], so existing records, wire frames and [check-json]
-    artifacts are unaffected. *)
+    This is the [wfc.store.v2] object: the one record format of the store
+    (canonical JSON), of the wire protocol's verdict frames and of
+    [check-json] store artifacts. *)
 
 val schema_version : string
 (** ["wfc.store.v2"]. *)
@@ -51,11 +48,6 @@ val verdict_json : record -> Wfc_obs.Json.t
 
 val record_of_json : Wfc_obs.Json.t -> (record, string) result
 (** Accepts both schemas: a v1 object parses with [model = "wait-free"]. *)
-
-val check_record : record -> (unit, string) result
-(** The semantic invariants every decode path enforces, whatever the wire
-    format: 32-hex digest, non-empty model, known verdict vocabulary, and a
-    decide table present iff the verdict is ["solvable"]. *)
 
 val validate_json : Wfc_obs.Json.t -> (unit, string) result
 (** Structural check used by [wfc check-json] on store artifacts. *)

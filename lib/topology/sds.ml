@@ -303,7 +303,15 @@ let next_level ~digest t k' =
    re-subdivides only the top level instead of rebuilding from scratch. *)
 let memo : (string * string * int, t) Hashtbl.t = Hashtbl.create 64
 
-let clear_cache () = Hashtbl.reset memo
+(* The daemon's solver threads share [memo]: lookups and inserts hold
+   [memo_mu], subdivision itself runs unlocked. Two threads building one
+   missing level both build it; levels are deterministic (vertex ids are
+   local to the complex), so either insert is as good as the other. *)
+let memo_mu = Mutex.create ()
+
+let with_memo f = Mutex.protect memo_mu (fun () -> f memo)
+
+let clear_cache () = with_memo Hashtbl.reset
 
 let structural_digest a =
   let cx = Chromatic.complex a in
@@ -322,20 +330,20 @@ let iterate a b =
   let rec cached k =
     if k < 0 then (0, of_chromatic a)
     else
-      match Hashtbl.find_opt memo ((name, digest, k)) with
+      match with_memo (fun m -> Hashtbl.find_opt m (name, digest, k)) with
       | Some t when matches t ->
         Wfc_obs.Metrics.incr c_memo_hits;
         (k, t)
       | _ -> cached (k - 1)
   in
   let k0, t0 = cached b in
-  Hashtbl.replace memo (name, digest, k0) t0;
+  with_memo (fun m -> Hashtbl.replace m (name, digest, k0) t0);
   let rec go t k =
     if k = b then t
     else begin
       Wfc_obs.Metrics.incr c_memo_misses;
       let t' = next_level ~digest t (k + 1) in
-      Hashtbl.replace memo (name, digest, k + 1) t';
+      with_memo (fun m -> Hashtbl.replace m (name, digest, k + 1) t');
       go t' (k + 1)
     end
   in

@@ -1,7 +1,7 @@
 (* Tier-1 tests for first-class computation models (affine tasks): the
    Model codec and built-ins, the model-restricted solvability search and
    its wait-free byte-identity guarantee, the (task, model)-keyed v2
-   verdict store with v1 fallback and migration, the model field of the
+   verdict store and its migration of flat stores on open, the model field of the
    wire protocol, the explicit options record, and the daemon serving two
    models for one task end to end. *)
 
@@ -9,6 +9,7 @@ open Wfc_topology
 open Wfc_tasks
 open Wfc_core
 open Wfc_serve
+open Wfc_storage
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -186,33 +187,24 @@ let test_per_model_counter () =
   checki "model counter bumped" (before + 1) after
 
 (* ------------------------------------------------------------------ *)
-(* Options record and deprecated shims                                  *)
+(* Options record                                                       *)
 (* ------------------------------------------------------------------ *)
 
 let test_options () =
-  let saved = Solvability.defaults () in
-  Fun.protect ~finally:(fun () -> Solvability.set_defaults saved) @@ fun () ->
-  let d = Solvability.defaults () in
+  let d = Solvability.options () in
   checkb "default model is wait-free" true (Model.equal d.Solvability.model Model.wait_free);
   checki "default budget" Solvability.default_budget d.Solvability.budget;
   checkb "default trace off" false d.Solvability.trace;
-  (* the builder fills omitted fields from the defaults *)
+  checkb "default mode is batch" true (d.Solvability.mode = `Batch);
+  checkb "reducers on by default" true (d.Solvability.symmetry && d.Solvability.collapse);
+  (* the builder fills omitted fields from the constants *)
   let o = Solvability.options ~budget:7 () in
   checki "builder overrides budget" 7 o.Solvability.budget;
-  checkb "builder inherits model" true (Model.equal o.Solvability.model d.Solvability.model);
-  checkb "builder inherits trace" true (o.Solvability.trace = d.Solvability.trace);
-  (* the shims are views of the default record *)
-  Solvability.set_search_trace true;
-  checkb "set_search_trace reaches defaults" true (Solvability.defaults ()).Solvability.trace;
-  Solvability.set_search_trace false;
-  Solvability.set_portfolio true;
-  checkb "set_portfolio reaches defaults" true (Solvability.portfolio ());
-  checkb "portfolio mode set" true ((Solvability.defaults ()).Solvability.mode = `Portfolio);
-  Solvability.set_portfolio false;
-  checkb "portfolio off again" false (Solvability.portfolio ())
+  checkb "builder keeps the default model" true (Model.equal o.Solvability.model Model.wait_free);
+  checkb "builder keeps the default trace" false o.Solvability.trace
 
 (* ------------------------------------------------------------------ *)
-(* Store: (task, model) keyed records, v1 fallback, migration           *)
+(* Store: (task, model) keyed records, migration on open               *)
 (* ------------------------------------------------------------------ *)
 
 let outcome_for ?(model = Model.wait_free) task =
@@ -220,85 +212,94 @@ let outcome_for ?(model = Model.wait_free) task =
     (Solvability.solve ~opts:(Solvability.options ~model ()) ~domains:1 ~max_level:1 task)
 
 let test_store_model_key () =
-  let st = Store.open_store (temp_dir "wfc-affine-store") in
+  let st = Engine.open_store (temp_dir "wfc-affine-store") in
   let t = Instances.binary_consensus ~procs:2 in
   let digest = Task.digest t in
   let budget = Solvability.default_budget in
   let model = Model.k_set_affine ~k:2 in
   let r =
-    Store.record ~task:t ~spec:"consensus(procs=2,param=2)"
+    Record.make ~task:t ~spec:"consensus(procs=2,param=2)"
       ~model:(Model.to_string model) ~max_level:1 ~budget (outcome_for ~model t)
   in
-  Store.put st r;
+  Engine.put st r;
   checks "v2 filename embeds the model slug"
     (digest ^ ".k-set-2.L1.json")
-    (Filename.basename (Store.path_of st ~digest ~model:"k-set:2" ~max_level:1));
-  (match Store.find st ~digest ~model:"k-set:2" ~max_level:1 ~budget with
+    (Filename.basename (Engine.path_of st ~digest ~model:"k-set:2" ~max_level:1));
+  (match Engine.find st ~digest ~model:"k-set:2" ~max_level:1 ~budget with
   | Some r' ->
-    checks "record carries its model" "k-set:2" r'.Store.model;
-    checks "restricted verdict survives the disk" "solvable" r'.Store.outcome.Solvability.o_verdict
+    checks "record carries its model" "k-set:2" r'.Record.model;
+    checks "restricted verdict survives the disk" "solvable" r'.Record.outcome.Solvability.o_verdict
   | None -> Alcotest.fail "k-set:2 record not found after put");
   (* the same task under another model is a different question *)
   checkb "wait-free misses" true
-    (Store.find st ~digest ~model:"wait-free" ~max_level:1 ~budget = None);
-  let report = Store.verify st in
-  checki "v2 record passes verify" 1 report.Store.valid;
-  checki "nothing mismatched" 0 (List.length report.Store.mismatched)
+    (Engine.find st ~digest ~model:"wait-free" ~max_level:1 ~budget = None);
+  let report = Engine.verify st in
+  checki "v2 record passes verify" 1 report.Engine.valid;
+  checki "nothing mismatched" 0 (List.length report.Engine.mismatched)
 
-let test_store_v1_fallback_and_migrate () =
-  let dir = temp_dir "wfc-affine-store" in
-  let st = Store.open_store dir in
+(* A pre-sharding store — one record filed flat at the root, no manifest —
+   answers byte-identically from its first open: [open_store] migrates it,
+   after which nothing flat remains and a second migrate has nothing to do.
+   [v1] files a pre-model wfc.store.v1 body under [<digest>.L1.json]. *)
+let test_flat_store_migrates_on_open ~v1 () =
   let t = Instances.binary_consensus ~procs:2 in
   let digest = Task.digest t in
   let budget = Solvability.default_budget in
   let r =
-    Store.record ~task:t ~spec:"consensus(procs=2,param=2)" ~max_level:1 ~budget (outcome_for t)
+    Record.make ~task:t ~spec:"consensus(procs=2,param=2)" ~max_level:1 ~budget (outcome_for t)
   in
-  Store.put st r;
-  (* demote the record to its pre-model (v1) filename, as an old store has *)
-  let v2_path = Store.path_of st ~digest ~model:"wait-free" ~max_level:1 in
-  let v1_path = Filename.concat dir (digest ^ ".L1.json") in
-  Sys.rename v2_path v1_path;
-  (match Store.find st ~digest ~model:"wait-free" ~max_level:1 ~budget with
-  | Some r' -> checks "v1 fallback serves wait-free" "wait-free" r'.Store.model
-  | None -> Alcotest.fail "v1-named record must still satisfy wait-free finds");
-  let report = Store.verify st in
-  checki "v1 name is well-formed to verify" 1 report.Store.valid;
-  checki "not mismatched" 0 (List.length report.Store.mismatched);
-  (* migrate rewrites it under the v2 name... *)
-  let m = Store.migrate st in
-  checki "one record migrated" 1 m.Store.migrated;
-  checki "no skips" 0 (List.length m.Store.skipped);
-  checkb "v1 file removed" false (Sys.file_exists v1_path);
-  checkb "v2 file written" true (Sys.file_exists v2_path);
-  (match Store.find st ~digest ~model:"wait-free" ~max_level:1 ~budget with
-  | Some _ -> ()
-  | None -> Alcotest.fail "record lost by migration");
-  (* ...and is idempotent *)
-  let m2 = Store.migrate st in
-  checki "second pass migrates nothing" 0 m2.Store.migrated;
-  checki "second pass counts it untouched" 1 m2.Store.untouched
+  let body, name =
+    match Record.record_to_json r with
+    | Wfc_obs.Json.Obj fields when v1 ->
+      ( Wfc_obs.Json.Obj
+          (List.filter_map
+             (function
+               | "model", _ -> None
+               | "schema", _ -> Some ("schema", Wfc_obs.Json.String Record.schema_version_v1)
+               | kv -> Some kv)
+             fields),
+        Layout.flat_basename_v1 ~digest ~max_level:1 )
+    | j -> (j, Layout.flat_basename ~digest ~model:"wait-free" ~max_level:1)
+  in
+  let dir = temp_dir "wfc-affine-store" in
+  let flat = Filename.concat dir name in
+  Out_channel.with_open_bin flat (fun oc -> output_string oc (Wfc_obs.Json.to_string body));
+  let st = Engine.open_store dir in
+  (match Engine.find st ~digest ~model:"wait-free" ~max_level:1 ~budget with
+  | Some r' ->
+    checks "first answer is byte-identical"
+      (Wfc_obs.Json.to_string (Record.verdict_json r))
+      (Wfc_obs.Json.to_string (Record.verdict_json r'))
+  | None -> Alcotest.fail "flat record must answer on first open");
+  checkb "flat file removed" false (Sys.file_exists flat);
+  checkb "no record left at the root" false
+    (Array.exists (fun n -> Filename.check_suffix n ".json") (Sys.readdir dir));
+  checkb "sharded file written" true
+    (Sys.file_exists (Engine.path_of st ~digest ~model:"wait-free" ~max_level:1));
+  let m = Engine.migrate dir in
+  checki "second migrate moves nothing" 0 m.Engine.migrated;
+  checki "and counts it untouched" 1 m.Engine.untouched
 
 let test_store_model_mismatch_quarantined () =
   let dir = temp_dir "wfc-affine-store" in
-  let st = Store.open_store dir in
+  let st = Engine.open_store dir in
   let t = Instances.binary_consensus ~procs:2 in
   let digest = Task.digest t in
   let budget = Solvability.default_budget in
   let model = Model.k_set_affine ~k:2 in
   let r =
-    Store.record ~task:t ~spec:"consensus(procs=2,param=2)"
+    Record.make ~task:t ~spec:"consensus(procs=2,param=2)"
       ~model:(Model.to_string model) ~max_level:1 ~budget (outcome_for ~model t)
   in
-  (* file a k-set:2 body under the flat wait-free name (as a bad actor or a
-     botched copy into a pre-sharding store would): served to a wait-free
-     question it would be a wrong answer, so find must quarantine it *)
-  let path = Filename.concat dir (digest ^ ".wait-free.L1.json") in
-  let oc = open_out path in
-  output_string oc (Wfc_obs.Json.to_string (Store.record_to_json r));
-  close_out oc;
+  (* file a k-set:2 body under the wait-free name (as a bad actor or a
+     botched copy would): served to a wait-free question it would be a
+     wrong answer, so find must quarantine it *)
+  let path = Engine.path_of st ~digest ~model:"wait-free" ~max_level:1 in
+  Layout.mkdir_p (Filename.dirname path);
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc (Wfc_obs.Json.to_string (Record.record_to_json r)));
   checkb "mismatched model is a miss" true
-    (Store.find st ~digest ~model:"wait-free" ~max_level:1 ~budget = None);
+    (Engine.find st ~digest ~model:"wait-free" ~max_level:1 ~budget = None);
   checkb "file moved out of the way" false (Sys.file_exists path)
 
 (* ------------------------------------------------------------------ *)
@@ -410,22 +411,22 @@ let test_daemon_two_models () =
       | Ok c ->
         (match query_exn c (spec "wait-free") with
         | Wire.Verdict { source = Wire.Computed; record; _ } ->
-          checks "wait-free verdict" "unsolvable" record.Store.outcome.Solvability.o_verdict;
-          checks "record model" "wait-free" record.Store.model
+          checks "wait-free verdict" "unsolvable" record.Record.outcome.Solvability.o_verdict;
+          checks "record model" "wait-free" record.Record.model
         | _ -> Alcotest.fail "expected a computed wait-free verdict");
         (match query_exn c (spec "k-set:2") with
         | Wire.Verdict { source = Wire.Computed; record; _ } ->
-          checks "k-set:2 verdict" "solvable" record.Store.outcome.Solvability.o_verdict;
-          checks "record model" "k-set:2" record.Store.model
+          checks "k-set:2 verdict" "solvable" record.Record.outcome.Solvability.o_verdict;
+          checks "record model" "k-set:2" record.Record.model
         | _ -> Alcotest.fail "expected a computed k-set:2 verdict");
         (* both verdicts now coexist in one store, each keyed by its model *)
         (match query_exn c (spec "wait-free") with
         | Wire.Verdict { source = Wire.From_store; record; _ } ->
-          checks "warm wait-free" "unsolvable" record.Store.outcome.Solvability.o_verdict
+          checks "warm wait-free" "unsolvable" record.Record.outcome.Solvability.o_verdict
         | _ -> Alcotest.fail "expected a wait-free store hit");
         (match query_exn c (spec "k-set:2") with
         | Wire.Verdict { source = Wire.From_store; record; _ } ->
-          checks "warm k-set:2" "solvable" record.Store.outcome.Solvability.o_verdict
+          checks "warm k-set:2" "solvable" record.Record.outcome.Solvability.o_verdict
         | _ -> Alcotest.fail "expected a k-set:2 store hit");
         (* an unparsable model is refused at admission, before any solving *)
         (match query_exn c (spec "no-such-model") with
@@ -450,11 +451,14 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_wait_free_solve_sweep;
           Alcotest.test_case "per-model counter" `Quick test_per_model_counter;
         ] );
-      ("options", [ Alcotest.test_case "record, builder, shims" `Quick test_options ]);
+      ("options", [ Alcotest.test_case "record and builder" `Quick test_options ]);
       ( "store",
         [
           Alcotest.test_case "records are keyed by model" `Quick test_store_model_key;
-          Alcotest.test_case "v1 fallback and migrate" `Quick test_store_v1_fallback_and_migrate;
+          Alcotest.test_case "v1 flat store migrates on first open" `Quick
+            (test_flat_store_migrates_on_open ~v1:true);
+          Alcotest.test_case "v2 flat store migrates on first open" `Quick
+            (test_flat_store_migrates_on_open ~v1:false);
           Alcotest.test_case "model mismatch is quarantined" `Quick
             test_store_model_mismatch_quarantined;
         ] );

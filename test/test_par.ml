@@ -379,6 +379,48 @@ let test_parallel_sds () =
         true (seq = par))
     [ (1, 3); (2, 2) ]
 
+(* ------------------------------------------------------------------ *)
+(* Threads sharing the process-global solver caches                    *)
+
+(* The daemon's solver threads share the Sds memo and the Solvability
+   reducer caches. Four threads solving distinct cold questions over the
+   same base complexes must each get exactly the verdict bytes of a
+   sequential inline solve. *)
+let test_threads_share_caches () =
+  let wait_free = Wfc_tasks.Model.wait_free and k2 = Wfc_tasks.Model.k_set_affine ~k:2 in
+  let consensus = Wfc_tasks.Instances.binary_consensus ~procs:3 in
+  (* each solve spans several thread-switch ticks, so the threads interleave *)
+  let questions =
+    [|
+      (consensus, wait_free, 2);
+      (consensus, k2, 2);
+      (Wfc_tasks.Instances.approximate_agreement ~procs:3 ~grid:4, wait_free, 2);
+      (Wfc_tasks.Instances.adaptive_renaming ~procs:3 ~names:5, wait_free, 2);
+    |]
+  in
+  let verdict_bytes (task, model, max_level) =
+    let o, _ =
+      Solvability.solve_cached ~opts:(Solvability.options ~model ()) ~domains:1 ~max_level task
+    in
+    Wfc_obs.Json.to_string
+      (Wfc_storage.Record.verdict_json
+         (Wfc_storage.Record.make ~task ~spec:"q" ~model:(Wfc_tasks.Model.to_string model)
+            ~max_level ~budget:Solvability.default_budget o))
+  in
+  Sds.clear_cache ();
+  let results = Array.make (Array.length questions) "" in
+  let threads =
+    Array.mapi
+      (fun i q -> Thread.create (fun () -> results.(i) <- verdict_bytes q) ())
+      questions
+  in
+  Array.iter Thread.join threads;
+  Sds.clear_cache ();
+  Array.iteri
+    (fun i q ->
+      Alcotest.(check string) (Printf.sprintf "question %d" i) (verdict_bytes q) results.(i))
+    questions
+
 let () =
   Wfc_par.set_domains 1;
   Alcotest.run "wfc_par"
@@ -407,4 +449,9 @@ let () =
           Alcotest.test_case "budget 0 exhausts immediately" `Quick test_budget_zero_exhausts;
         ] );
       ("sds", [ Alcotest.test_case "parallel subdivision identical" `Quick test_parallel_sds ]);
+      ( "threads",
+        [
+          Alcotest.test_case "4 threads, shared caches = sequential bytes" `Quick
+            test_threads_share_caches;
+        ] );
     ]

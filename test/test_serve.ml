@@ -5,6 +5,7 @@
 open Wfc_tasks
 open Wfc_core
 open Wfc_serve
+open Wfc_storage
 
 let checkb = Alcotest.check Alcotest.bool
 
@@ -39,7 +40,7 @@ let default_spec =
 let inline_record (spec : Wire.spec) =
   let t = Instances.by_name ~name:spec.Wire.task ~procs:spec.Wire.procs ~param:spec.Wire.param in
   let outcome, _ = Solvability.solve_cached ~max_level:spec.Wire.max_level t in
-  Store.record ~task:t ~spec:(Wire.spec_to_string spec) ~max_level:spec.Wire.max_level
+  Record.make ~task:t ~spec:(Wire.spec_to_string spec) ~max_level:spec.Wire.max_level
     ~budget:Solvability.default_budget outcome
 
 (* ------------------------------------------------------------------ *)
@@ -133,7 +134,7 @@ let wire_tests =
                [
                  ("status", Wfc_obs.Json.String "ok");
                  ("source", Wfc_obs.Json.String "computed");
-                 ("record", Store.record_to_json (inline_record default_spec));
+                 ("record", Record.record_to_json (inline_record default_spec));
                ])
         with
         | Ok (Wire.Verdict { req_id = None; timing = None; source = Wire.Computed; _ }) -> ()
@@ -185,37 +186,37 @@ let wire_tests =
 let store_tests =
   [
     Alcotest.test_case "put then find round-trips" `Quick (fun () ->
-        let st = Store.open_store (temp_dir "wfc-store") in
+        let st = Engine.open_store (temp_dir "wfc-store") in
         let r = inline_record default_spec in
-        Store.put st r;
-        (match Store.find st ~digest:r.Store.digest ~model:"wait-free" ~max_level:1 ~budget:r.Store.budget with
+        Engine.put st r;
+        (match Engine.find st ~digest:r.Record.digest ~model:"wait-free" ~max_level:1 ~budget:r.Record.budget with
         | None -> Alcotest.fail "record not found after put"
         | Some r' ->
-          checks "verdict bytes survive the disk" (json_str (Store.verdict_json r))
-            (json_str (Store.verdict_json r')));
+          checks "verdict bytes survive the disk" (json_str (Record.verdict_json r))
+            (json_str (Record.verdict_json r')));
         checkb "record validates" true
-          (Store.validate_json (Store.record_to_json r) = Ok ()));
+          (Record.validate_json (Record.record_to_json r) = Ok ()));
     Alcotest.test_case "budget mismatch is a miss, not a wrong answer" `Quick (fun () ->
-        let st = Store.open_store (temp_dir "wfc-store") in
+        let st = Engine.open_store (temp_dir "wfc-store") in
         let r = inline_record default_spec in
-        Store.put st r;
+        Engine.put st r;
         checkb "other budget misses" true
-          (Store.find st ~digest:r.Store.digest ~model:"wait-free" ~max_level:1 ~budget:(r.Store.budget + 1) = None);
+          (Engine.find st ~digest:r.Record.digest ~model:"wait-free" ~max_level:1 ~budget:(r.Record.budget + 1) = None);
         (* the record is kept: the original budget still hits *)
         checkb "original budget still hits" true
-          (Store.find st ~digest:r.Store.digest ~model:"wait-free" ~max_level:1 ~budget:r.Store.budget <> None));
+          (Engine.find st ~digest:r.Record.digest ~model:"wait-free" ~max_level:1 ~budget:r.Record.budget <> None));
     Alcotest.test_case "levels are separate questions" `Quick (fun () ->
-        let st = Store.open_store (temp_dir "wfc-store") in
+        let st = Engine.open_store (temp_dir "wfc-store") in
         let r = inline_record default_spec in
-        Store.put st r;
+        Engine.put st r;
         checkb "level 2 misses" true
-          (Store.find st ~digest:r.Store.digest ~model:"wait-free" ~max_level:2 ~budget:r.Store.budget = None));
+          (Engine.find st ~digest:r.Record.digest ~model:"wait-free" ~max_level:2 ~budget:r.Record.budget = None));
     Alcotest.test_case "torn record is quarantined on read" `Quick (fun () ->
         let dir = temp_dir "wfc-store" in
-        let st = Store.open_store dir in
+        let st = Engine.open_store dir in
         let r = inline_record default_spec in
-        Store.put st r;
-        let path = Store.path_of st ~digest:r.Store.digest ~model:"wait-free" ~max_level:1 in
+        Engine.put st r;
+        let path = Engine.path_of st ~digest:r.Record.digest ~model:"wait-free" ~max_level:1 in
         (* truncate mid-object, as a crash during a non-atomic write would *)
         let oc = open_out path in
         output_string oc "{\"schema\": \"wfc.store.v1\", \"dig";
@@ -223,46 +224,46 @@ let store_tests =
         (* the handle that wrote it still answers from its cache tier —
            damage on disk cannot reach a warm answer *)
         checkb "warm cache still serves" true
-          (Store.find st ~digest:r.Store.digest ~model:"wait-free" ~max_level:1 ~budget:r.Store.budget <> None);
+          (Engine.find st ~digest:r.Record.digest ~model:"wait-free" ~max_level:1 ~budget:r.Record.budget <> None);
         (* a cold process (fresh handle) must hit the disk: miss + quarantine *)
-        let cold = Store.open_store dir in
+        let cold = Engine.open_store dir in
         checkb "torn record misses" true
-          (Store.find cold ~digest:r.Store.digest ~model:"wait-free" ~max_level:1 ~budget:r.Store.budget = None);
+          (Engine.find cold ~digest:r.Record.digest ~model:"wait-free" ~max_level:1 ~budget:r.Record.budget = None);
         checkb "file moved out of the way" false (Sys.file_exists path);
-        let report = Store.verify cold in
-        checki "quarantined" 1 report.Store.quarantined;
-        checki "no in-place corruption left" 0 (List.length report.Store.corrupt);
+        let report = Engine.verify cold in
+        checki "quarantined" 1 report.Engine.quarantined;
+        checki "no in-place corruption left" 0 (List.length report.Engine.corrupt);
         (* the manifest stayed consistent: the quarantined record was
            de-indexed, so nothing live is missing its file *)
-        checki "no live manifest entry without a file" 0 report.Store.missing);
+        checki "no live manifest entry without a file" 0 report.Engine.missing);
     Alcotest.test_case "verify reports in-place damage without mutating" `Quick (fun () ->
         let dir = temp_dir "wfc-store" in
-        let st = Store.open_store dir in
+        let st = Engine.open_store dir in
         let r = inline_record default_spec in
-        Store.put st r;
+        Engine.put st r;
         let bad = Filename.concat dir "not-a-record.json" in
         let oc = open_out bad in
         output_string oc "][";
         close_out oc;
-        let report = Store.verify st in
-        checki "valid" 1 report.Store.valid;
-        checki "corrupt" 1 (List.length report.Store.corrupt);
+        let report = Engine.verify st in
+        checki "valid" 1 report.Engine.valid;
+        checki "corrupt" 1 (List.length report.Engine.corrupt);
         checkb "verify left the file in place" true (Sys.file_exists bad));
     Alcotest.test_case "misfiled record is caught by verify" `Quick (fun () ->
         let dir = temp_dir "wfc-store" in
-        let st = Store.open_store dir in
+        let st = Engine.open_store dir in
         let r = inline_record default_spec in
         let misfiled = Filename.concat dir (String.make 32 'f' ^ ".L1.json") in
         let oc = open_out misfiled in
-        output_string oc (json_str (Store.record_to_json r));
+        output_string oc (json_str (Record.record_to_json r));
         close_out oc;
-        let report = Store.verify st in
-        checki "mismatched" 1 (List.length report.Store.mismatched));
+        let report = Engine.verify st in
+        checki "mismatched" 1 (List.length report.Engine.mismatched));
     Alcotest.test_case "gc removes quarantine and stray tmp files only" `Quick (fun () ->
         let dir = temp_dir "wfc-store" in
-        let st = Store.open_store dir in
+        let st = Engine.open_store dir in
         let r = inline_record default_spec in
-        Store.put st r;
+        Engine.put st r;
         (* a crash between open and rename leaves a .wtmp — named so that no
            scan can mistake it for a record, even though it sits beside them *)
         let oc = open_out (Filename.concat dir "interrupted.json.12345.0.wtmp") in
@@ -271,16 +272,16 @@ let store_tests =
         let oc = open_out (Filename.concat (Filename.concat dir "quarantine") "old.json") in
         output_string oc "][";
         close_out oc;
-        let report = Store.verify st in
-        checki "stray tmp seen" 1 report.Store.stray_tmp;
-        checki "quarantine seen" 1 report.Store.quarantined;
+        let report = Engine.verify st in
+        checki "stray tmp seen" 1 report.Engine.stray_tmp;
+        checki "quarantine seen" 1 report.Engine.quarantined;
         let removed = ref 0 in
-        Store.gc st ~removed;
+        Engine.gc st ~removed;
         checki "two files removed" 2 !removed;
-        let report = Store.verify st in
-        checki "clean" 0 (report.Store.stray_tmp + report.Store.quarantined);
+        let report = Engine.verify st in
+        checki "clean" 0 (report.Engine.stray_tmp + report.Engine.quarantined);
         checkb "the valid record survived gc" true
-          (Store.find st ~digest:r.Store.digest ~model:"wait-free" ~max_level:1 ~budget:r.Store.budget <> None));
+          (Engine.find st ~digest:r.Record.digest ~model:"wait-free" ~max_level:1 ~budget:r.Record.budget <> None));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -290,7 +291,7 @@ let store_tests =
 let cached_tests =
   [
     Alcotest.test_case "solve_cached commits on miss and hits after" `Quick (fun () ->
-        let st = Store.open_store (temp_dir "wfc-store") in
+        let st = Engine.open_store (temp_dir "wfc-store") in
         let t = Instances.binary_consensus ~procs:2 in
         let digest = Task.digest t in
         let budget = Solvability.default_budget in
@@ -298,11 +299,11 @@ let cached_tests =
           {
             Solvability.lookup =
               (fun () ->
-                Option.map (fun r -> r.Store.outcome) (Store.find st ~digest ~model:"wait-free" ~max_level:1 ~budget));
+                Option.map (fun r -> r.Record.outcome) (Engine.find st ~digest ~model:"wait-free" ~max_level:1 ~budget));
             commit =
               (fun o ->
-                Store.put st
-                  (Store.record ~task:t ~spec:"consensus(procs=2,param=2)" ~max_level:1 ~budget o));
+                Engine.put st
+                  (Record.make ~task:t ~spec:"consensus(procs=2,param=2)" ~max_level:1 ~budget o));
           }
         in
         let o1, how1 = Solvability.solve_cached ~store:hook ~max_level:1 t in
@@ -312,7 +313,7 @@ let cached_tests =
         checks "same verdict" o1.Solvability.o_verdict o2.Solvability.o_verdict;
         checki "same nodes" o1.Solvability.o_nodes o2.Solvability.o_nodes);
     Alcotest.test_case "exhausted outcomes are never persisted" `Quick (fun () ->
-        let st = Store.open_store (temp_dir "wfc-store") in
+        let st = Engine.open_store (temp_dir "wfc-store") in
         let t = Instances.binary_consensus ~procs:2 in
         let digest = Task.digest t in
         let committed = ref 0 in
@@ -320,8 +321,8 @@ let cached_tests =
           {
             Solvability.lookup =
               (fun () ->
-                Option.map (fun r -> r.Store.outcome)
-                  (Store.find st ~digest ~model:"wait-free" ~max_level:1 ~budget:1));
+                Option.map (fun r -> r.Record.outcome)
+                  (Engine.find st ~digest ~model:"wait-free" ~max_level:1 ~budget:1));
             commit = (fun _ -> incr committed);
           }
         in
@@ -383,10 +384,10 @@ let daemon_tests =
         with_daemon (fun ~socket ~store_dir:_ ->
             let c = connect_exn socket in
             checkb "ping" true (Client.ping c);
-            let reference = json_str (Store.verdict_json (inline_record default_spec)) in
+            let reference = json_str (Record.verdict_json (inline_record default_spec)) in
             (match query_exn c default_spec with
             | Wire.Verdict { source = Wire.Computed; record; req_id; timing } ->
-              checks "cold equals inline solve" reference (json_str (Store.verdict_json record));
+              checks "cold equals inline solve" reference (json_str (Record.verdict_json record));
               checkb "daemon assigned a req_id" true (req_id <> None);
               (match timing with
               | None -> Alcotest.fail "expected a timing breakdown"
@@ -400,7 +401,7 @@ let daemon_tests =
             | _ -> Alcotest.fail "expected a computed verdict");
             (match query_exn c default_spec with
             | Wire.Verdict { source = Wire.From_store; record; timing; _ } ->
-              checks "warm equals inline solve" reference (json_str (Store.verdict_json record));
+              checks "warm equals inline solve" reference (json_str (Record.verdict_json record));
               (match timing with
               | None -> Alcotest.fail "expected a timing breakdown"
               | Some t ->
@@ -507,7 +508,7 @@ let daemon_tests =
         let coalesced0 = counter_value "serve.coalesced" in
         let misses0 = counter_value "serve.misses" in
         with_daemon ~gate (fun ~socket ~store_dir:_ ->
-            let reference = json_str (Store.verdict_json (inline_record default_spec)) in
+            let reference = json_str (Record.verdict_json (inline_record default_spec)) in
             let ask () =
               let c = connect_exn socket in
               let r = query_exn c default_spec in
@@ -533,7 +534,7 @@ let daemon_tests =
                 (function
                   | Wire.Verdict { source; record; _ } ->
                     checks "coalesced equals inline solve" reference
-                      (json_str (Store.verdict_json record));
+                      (json_str (Record.verdict_json record));
                     Wire.source_name source
                   | _ -> Alcotest.fail "expected verdicts")
                 results
@@ -551,8 +552,8 @@ let daemon_tests =
             | _ -> Alcotest.fail "expected shed with a zero-capacity queue");
             checki "shed counted" 1 (counter_value "serve.shed" - shed0);
             (* shedding is about work, not answers: a store hit still serves *)
-            let st = Store.open_store store_dir in
-            Store.put st (inline_record default_spec);
+            let st = Engine.open_store store_dir in
+            Engine.put st (inline_record default_spec);
             (match query_exn c default_spec with
             | Wire.Verdict { source = Wire.From_store; _ } -> ()
             | _ -> Alcotest.fail "expected a store hit despite the full queue");
@@ -603,8 +604,8 @@ let daemon_tests =
               match r with
               | Some (Wire.Verdict { source = Wire.Computed; record; _ }) ->
                 checks (name ^ " equals inline solve")
-                  (json_str (Store.verdict_json (inline_record spec)))
-                  (json_str (Store.verdict_json record))
+                  (json_str (Record.verdict_json (inline_record spec)))
+                  (json_str (Record.verdict_json record))
               | _ -> Alcotest.fail ("expected a computed verdict for " ^ name)
             in
             check_computed "consensus" default_spec !ra;
@@ -666,8 +667,8 @@ let daemon_tests =
               match r with
               | Some (Wire.Verdict { record; _ }) ->
                 checks (name ^ " verdict survives shutdown")
-                  (json_str (Store.verdict_json (inline_record spec)))
-                  (json_str (Store.verdict_json record))
+                  (json_str (Record.verdict_json (inline_record spec)))
+                  (json_str (Record.verdict_json record))
               | _ -> Alcotest.fail ("client " ^ name ^ " was abandoned by shutdown")
             in
             got "consensus" default_spec !ra;
@@ -684,12 +685,12 @@ let daemon_tests =
               store_dir)
         in
         (* daemon is gone; the record it filed outlives it *)
-        let st = Store.open_store dir in
+        let st = Engine.open_store dir in
         let r = Option.get !captured in
-        match Store.find st ~digest:r.Store.digest ~model:"wait-free" ~max_level:1 ~budget:r.Store.budget with
+        match Engine.find st ~digest:r.Record.digest ~model:"wait-free" ~max_level:1 ~budget:r.Record.budget with
         | Some r' ->
-          checks "same bytes after daemon death" (json_str (Store.verdict_json r))
-            (json_str (Store.verdict_json r'))
+          checks "same bytes after daemon death" (json_str (Record.verdict_json r))
+            (json_str (Record.verdict_json r'))
         | None -> Alcotest.fail "record did not survive the daemon");
   ]
 

@@ -1,5 +1,5 @@
-(* Tests for the storage engine: LRU mechanics, codec round-trips, manifest
-   durability and rebuild, quarantine-on-damage, concurrent writers, and
+(* Tests for the storage engine: LRU mechanics, record round-trips, manifest
+   durability and rebuild, migration-era leftovers, quarantine-on-damage, concurrent writers, and
    persisted SDS skeletons replaying bit-for-bit. *)
 
 open Wfc_core
@@ -100,52 +100,35 @@ let lru_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Codecs                                                               *)
+(* Record: the one on-disk format                                       *)
 (* ------------------------------------------------------------------ *)
 
-let qcheck_compact_roundtrip =
-  QCheck.Test.make ~count:200 ~name:"compact codec round-trips exactly"
+let decode bytes =
+  match Wfc_obs.Json.parse bytes with
+  | Error e -> Error e
+  | Ok j -> Record.record_of_json j
+
+let qcheck_json_roundtrip =
+  QCheck.Test.make ~count:200 ~name:"json round-trips to identical bytes"
     QCheck.(quad int int int int)
     (fun (seed, kind, ndecide, level) ->
-      let r = record_of_params ~seed ~kind ~ndecide ~level in
-      Codec.decode Codec.Compact (Codec.encode Codec.Compact r) = Ok r)
+      let encode r = Wfc_obs.Json.to_string (Record.record_to_json r) in
+      let bytes = encode (record_of_params ~seed ~kind ~ndecide ~level) in
+      Result.map encode (decode bytes) = Ok bytes)
 
-let qcheck_codecs_agree =
-  QCheck.Test.make ~count:200
-    ~name:"json and compact round-trips render identical canonical records"
-    QCheck.(quad int int int int)
-    (fun (seed, kind, ndecide, level) ->
-      let r = record_of_params ~seed ~kind ~ndecide ~level in
-      let via codec =
-        match Codec.decode codec (Codec.encode codec r) with
-        | Ok r' -> Wfc_obs.Json.to_string (Record.record_to_json r')
-        | Error e -> "decode error: " ^ e
-      in
-      via Codec.Json = via Codec.Compact)
-
-let codec_tests =
+let record_tests =
   [
-    QCheck_alcotest.to_alcotest qcheck_compact_roundtrip;
-    QCheck_alcotest.to_alcotest qcheck_codecs_agree;
-    Alcotest.test_case "compact is smaller than json on real decide tables" `Quick
-      (fun () ->
-        let r = record_of_params ~seed:42 ~kind:0 ~ndecide:40 ~level:2 in
-        let j = String.length (Codec.encode Codec.Json r) in
-        let c = String.length (Codec.encode Codec.Compact r) in
-        checkb (Printf.sprintf "compact %d < json %d" c j) true (c < j));
-    Alcotest.test_case "every truncation of a compact record decodes to Error" `Quick
+    QCheck_alcotest.to_alcotest qcheck_json_roundtrip;
+    Alcotest.test_case "every truncation of a json record decodes to Error" `Quick
       (fun () ->
         let r = record_of_params ~seed:7 ~kind:0 ~ndecide:10 ~level:1 in
-        let bytes = Codec.encode Codec.Compact r in
+        (* only the trailing newline may go without losing the record *)
+        let bytes = String.trim (Wfc_obs.Json.to_string (Record.record_to_json r)) in
         for cut = 0 to String.length bytes - 1 do
-          match Codec.decode Codec.Compact (String.sub bytes 0 cut) with
+          match decode (String.sub bytes 0 cut) with
           | Error _ -> ()
           | Ok _ -> Alcotest.failf "prefix of %d bytes decoded" cut
         done);
-    Alcotest.test_case "extension negotiates the codec" `Quick (fun () ->
-        checkb "json" true (Codec.of_path "ab/cd/x.wait-free.L1.json" = Some Codec.Json);
-        checkb "wfcb" true (Codec.of_path "ab/cd/x.wait-free.L1.wfcb" = Some Codec.Compact);
-        checkb "tmp is neither" true (Codec.of_path "x.json.12.0.wtmp" = None));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -169,7 +152,6 @@ let manifest_tests =
             budget = 5;
             verdict = "unsolvable";
             level = 1;
-            codec = "json";
             created_at = 1.5;
           }
         in
@@ -189,6 +171,17 @@ let manifest_tests =
         Manifest.close m;
         let { Manifest.entries; bad_lines = _ } = Manifest.load path in
         checki "both live" 2 (List.length (Manifest.live entries)));
+    Alcotest.test_case "lines carrying the retired codec column still load" `Quick
+      (fun () ->
+        let line =
+          "{\"schema\": \"wfc.manifest.v1\", \"op\": \"put\", \"kind\": \"verdict\", \
+           \"rel\": \"ab/cd/x.json\", \"digest\": \"\", \"model\": \"wait-free\", \
+           \"max_level\": 1, \"budget\": 5, \"verdict\": \"unsolvable\", \"level\": 1, \
+           \"codec\": \"json\", \"created_at\": 0.0}"
+        in
+        match Result.map Manifest.entry_of_json (Wfc_obs.Json.parse line) with
+        | Ok (Ok e) -> checks "rel" "ab/cd/x.json" e.Manifest.rel
+        | _ -> Alcotest.fail "old manifest line rejected");
     Alcotest.test_case "live replays puts and dels in order" `Quick (fun () ->
         let base rel op =
           {
@@ -201,7 +194,6 @@ let manifest_tests =
             budget = 5;
             verdict = "solvable";
             level = 1;
-            codec = "json";
             created_at = 0.;
           }
         in
@@ -353,6 +345,41 @@ let engine_tests =
         checki "no torn files" 0 (List.length v.Engine.corrupt);
         checki "no manifest entry without a file" 0 v.Engine.missing;
         checki "no file without a manifest entry" 0 v.Engine.unindexed);
+    Alcotest.test_case "a stray .wfcb is not a record: its question recomputes" `Quick
+      (fun () ->
+        let dir = temp_dir "wfc-engine" in
+        let task = Wfc_tasks.Instances.binary_consensus ~procs:2 in
+        let digest = Wfc_tasks.Task.digest task and budget = Solvability.default_budget in
+        let json = Engine.path_of (Engine.open_store dir) ~digest ~model:"wait-free" ~max_level:1 in
+        (* leftovers of the retired compact codec, in the shard and at the root *)
+        let stray = Filename.remove_extension json ^ ".wfcb" in
+        let root_stray = Filename.concat dir (Filename.basename stray) in
+        Layout.mkdir_p (Filename.dirname stray);
+        List.iter
+          (fun path -> Out_channel.with_open_bin path (fun oc -> output_string oc "WFCB1\x00"))
+          [ stray; root_stray ];
+        let eng = Engine.open_store dir in
+        let find () = Engine.find eng ~digest ~model:"wait-free" ~max_level:1 ~budget in
+        checkb "miss" true (find () = None);
+        let record o =
+          Record.make ~task ~spec:"consensus(procs=2,param=2)" ~max_level:1 ~budget o
+        in
+        let hook =
+          {
+            Solvability.lookup = (fun () -> Option.map (fun r -> r.Record.outcome) (find ()));
+            commit = (fun o -> Engine.put eng (record o));
+          }
+        in
+        let o, source = Solvability.solve_cached ~store:hook ~max_level:1 task in
+        checkb "recomputed" true (source = `Computed);
+        let inline, _ = Solvability.solve_cached ~max_level:1 task in
+        let bytes o = Wfc_obs.Json.to_string (Record.verdict_json (record o)) in
+        checks "same verdict bytes as an inline solve" (bytes inline) (bytes o);
+        checkb "now a hit" true (find () <> None);
+        let v = Engine.verify eng in
+        checki "the json record is valid" 1 v.Engine.valid;
+        checki "no .wfcb read as a record" 0 (List.length v.Engine.corrupt);
+        checkb "strays left alone" true (Sys.file_exists stray && Sys.file_exists root_stray));
     Alcotest.test_case "ls is deterministic and sorted" `Quick (fun () ->
         let dir = temp_dir "wfc-engine" in
         let eng = Engine.open_store dir in
@@ -420,7 +447,7 @@ let () =
   Alcotest.run "wfc_storage"
     [
       ("lru", lru_tests);
-      ("codec", codec_tests);
+      ("record", record_tests);
       ("manifest", manifest_tests);
       ("engine", engine_tests);
       ("skeleton", skeleton_tests);
