@@ -1133,7 +1133,11 @@ let stats_cmd =
               match server_num key with
               | Some v -> Format.printf "# TYPE %s gauge@.%s %.0f@." metric metric v
               | None -> ())
-            [ ("inflight", "wfc_inflight"); ("queue_depth", "wfc_queue_depth") ]
+            [
+              ("inflight", "wfc_inflight");
+              ("queue_depth", "wfc_queue_depth");
+              ("tasks_cached", "wfc_tasks_cached");
+            ]
         end
         else begin
           (match server with
@@ -1144,10 +1148,12 @@ let stats_cmd =
               | _ -> "?"
             in
             let int k = match server_num k with Some v -> int_of_float v | None -> 0 in
-            Format.printf "daemon: version=%s uptime=%.1fs inflight=%d queue=%d/%d solvers=%d@."
+            Format.printf
+              "daemon: version=%s uptime=%.1fs inflight=%d queue=%d/%d solvers=%d tasks=%d/%d@."
               (str "version")
               (Option.value ~default:0. (server_num "uptime_s"))
-              (int "inflight") (int "queue_depth") (int "queue_capacity") (int "solvers");
+              (int "inflight") (int "queue_depth") (int "queue_capacity") (int "solvers")
+              (int "tasks_cached") (int "tasks_capacity");
             (match Wfc_obs.Json.member "workers" s with
             | Some (Wfc_obs.Json.Arr ws) ->
               List.iter

@@ -277,6 +277,20 @@ grep 'timing:' QUERY_tel_cold.txt
   --socket "$SERVE_SOCK" --verdict-out VERDICT_tel_warm.json | grep 'source=store'
 cmp VERDICT_tel_inline.json VERDICT_tel_cold.json
 cmp VERDICT_tel_inline.json VERDICT_tel_warm.json
+# the warm answer resolved its task from the daemon's memo, not a rebuild
+"$WFC" stats --socket "$SERVE_SOCK" --json STATS_tasks.json > /dev/null
+TASK_HITS=$(grep -o '"serve.tasks.hits": [0-9]*' STATS_tasks.json | grep -o '[0-9]*$')
+test "$TASK_HITS" -ge 1
+# an unknown task is an error every time it is asked (errors are never
+# memoized), and the daemon keeps answering afterwards
+for _ in 1 2; do
+  if "$WFC" query --task no-such-task --procs 2 --max-level 1 \
+    --socket "$SERVE_SOCK" 2> QUERY_tel_err.txt; then
+    exit 1
+  fi
+  grep 'daemon error: unknown task' QUERY_tel_err.txt
+done
+"$WFC" query --ping --socket "$SERVE_SOCK" | grep 'pong version='
 # coalesced burst on a fresh question: both answers still byte-identical
 "$WFC" query --task renaming --procs 2 --param 3 --max-level 1 \
   --socket "$SERVE_SOCK" --verdict-out VERDICT_tel_a.json > QUERY_tel_a.txt &
@@ -302,8 +316,8 @@ grep '"event":"serve.start"' "$SERVE_LOG" > /dev/null
 grep '"event":"query"' "$SERVE_LOG" > /dev/null
 grep '"event":"slow_query"' "$SERVE_LOG" > /dev/null
 grep '"event":"serve.stop"' "$SERVE_LOG" > /dev/null
-rm -rf "$SERVE_SOCK" "$SERVE_STORE4" "$SERVE_LOG" STATS_ci.json \
-  VERDICT_tel_inline.json VERDICT_tel_cold.json VERDICT_tel_warm.json \
+rm -rf "$SERVE_SOCK" "$SERVE_STORE4" "$SERVE_LOG" STATS_ci.json STATS_tasks.json \
+  QUERY_tel_err.txt VERDICT_tel_inline.json VERDICT_tel_cold.json VERDICT_tel_warm.json \
   VERDICT_tel_a.json VERDICT_tel_b.json QUERY_tel_cold.txt QUERY_tel_a.txt \
   QUERY_tel_b.txt
 

@@ -1,6 +1,7 @@
 open Wfc_core
 module Engine = Wfc_storage.Engine
 module Record = Wfc_storage.Record
+module Lru = Wfc_storage.Lru
 
 let version = "1.0.0"
 
@@ -46,16 +47,25 @@ let c_errors = Wfc_obs.Metrics.counter "serve.errors"
 
 let c_slow = Wfc_obs.Metrics.counter "serve.slow"
 
+let c_task_hits = Wfc_obs.Metrics.counter "serve.tasks.hits"
+
+let c_task_misses = Wfc_obs.Metrics.counter "serve.tasks.misses"
+
+let c_task_evictions = Wfc_obs.Metrics.counter "serve.tasks.evictions"
+
 let h_latency = Wfc_obs.Metrics.histogram "serve.latency.seconds"
 
 let h_depth = Wfc_obs.Metrics.histogram "serve.queue.depth"
 
 (* Stage histograms: the request lifecycle cut where it actually spends
-   time. decode = frame JSON -> typed request; admission = the store-lookup
-   / enqueue decision under the state mutex; queue_wait = admitted ->
-   picked by a worker; solve = the search itself; store_put = persisting
-   the fresh verdict; encode = response -> socket bytes. *)
+   time. decode = frame JSON -> typed request; resolve = wire spec -> task
+   (memo lookup, plus the build and digest on a miss); admission = the
+   store-lookup / enqueue decision under the state mutex; queue_wait =
+   admitted -> picked by a worker; solve = the search itself; store_put =
+   persisting the fresh verdict; encode = response -> socket bytes. *)
 let h_stage_decode = Wfc_obs.Metrics.histogram "serve.stage.decode.seconds"
+
+let h_stage_resolve = Wfc_obs.Metrics.histogram "serve.stage.resolve.seconds"
 
 let h_stage_admission = Wfc_obs.Metrics.histogram "serve.stage.admission.seconds"
 
@@ -99,13 +109,14 @@ let no_stages = { queue_wait_s = 0.; solve_s = 0.; store_s = 0. }
    {e being solved} still attaches instead of recomputing. *)
 type job = {
   j_spec : Wire.spec;
-  j_task : Wfc_tasks.Task.t;
-  j_digest : string;
+  j_task : Wfc_tasks.Task.t;  (** carries its digest: [Task.digest] is a field read *)
   j_model : Wfc_tasks.Model.t;  (** parsed at admission; unknown names never enqueue *)
   j_req_id : string;  (** the admitting request's id, for worker-side log lines *)
   j_enqueued_at : float;
   mutable j_result : (Record.record * stages, string) result option;
 }
+
+let job_digest job = Wfc_tasks.Task.digest job.j_task
 
 (* Per-worker introspection for [wfc stats]: what each scheduler thread is
    doing right now, mutated under the state mutex. *)
@@ -133,9 +144,19 @@ type state = {
   mutable npending : int;
   inflight : (string, job) Hashtbl.t;
   workers_info : worker_info array;
+  tasks : Wfc_tasks.Task.t Lru.t;  (** the resolve memo, under [tasks_m] *)
+  tasks_m : Mutex.t;
   req_seq : int Atomic.t;  (** daemon-assigned request ids for old clients *)
   stopping : bool Atomic.t;
 }
+
+(* The resolve memo. A wire spec names its task by (name, procs, param),
+   and [Instances] is deterministic, so the built task — digest included —
+   is a pure function of that triple; the warm path looks it up instead of
+   rebuilding and re-digesting it per query. The bound is fixed: about
+   twice the distinct tasks a typical catalogue asks for, at well under
+   100 KiB retained per task. *)
+let task_memo_capacity = 64
 
 let key_of ~digest ~model ~max_level = Printf.sprintf "%s:%s:L%d" digest model max_level
 
@@ -161,13 +182,14 @@ let spec_fields (spec : Wire.spec) =
 (* ---- the solve scheduler ---- *)
 
 let enqueue_job st job =
-  (match Hashtbl.find_opt st.by_digest job.j_digest with
+  let digest = job_digest job in
+  (match Hashtbl.find_opt st.by_digest digest with
   | Some q -> Queue.push job q
   | None ->
     let q = Queue.create () in
     Queue.push job q;
-    Hashtbl.replace st.by_digest job.j_digest q;
-    Queue.push job.j_digest st.rotation);
+    Hashtbl.replace st.by_digest digest q;
+    Queue.push digest st.rotation);
   st.npending <- st.npending + 1
 
 (* Pop the next job round-robin over digests; caller holds [st.m] and has
@@ -191,11 +213,12 @@ let dequeue_job st =
    lookup catches that for free. Exhausted outcomes are answered but never
    persisted (see Solvability.solve_cached). *)
 let compute st (job : job) ~queue_wait_s =
-  (match st.cfg.gate with Some g -> g job.j_digest | None -> ());
+  let digest = job_digest job in
+  (match st.cfg.gate with Some g -> g digest | None -> ());
   let max_level = job.j_spec.Wire.max_level in
   let model = job.j_spec.Wire.model in
   let budget = Solvability.default_budget in
-  let find () = Engine.find st.store ~digest:job.j_digest ~model ~max_level ~budget in
+  let find () = Engine.find st.store ~digest ~model ~max_level ~budget in
   let fresh outcome =
     Record.make ~task:job.j_task ~spec:(Wire.spec_to_string job.j_spec) ~model ~max_level
       ~budget outcome
@@ -253,7 +276,7 @@ let worker_loop (st, idx) =
           if st.npending = 0 then None
           else begin
             let job = dequeue_job st in
-            info.w_state <- `Solving job.j_digest;
+            info.w_state <- `Solving (job_digest job);
             Some job
           end)
     in
@@ -281,7 +304,7 @@ let worker_loop (st, idx) =
           info.w_state <- `Idle;
           info.w_jobs <- info.w_jobs + 1;
           Hashtbl.remove st.inflight
-            (key_of ~digest:job.j_digest ~model:job.j_spec.Wire.model
+            (key_of ~digest:(job_digest job) ~model:job.j_spec.Wire.model
                ~max_level:job.j_spec.Wire.max_level);
           Condition.broadcast st.done_cv);
       next ()
@@ -289,6 +312,26 @@ let worker_loop (st, idx) =
   next ()
 
 (* ---- per-connection handler ---- *)
+
+(* Lookup and insert hold [tasks_m] only; the build runs outside it (and
+   outside [st.m]), so a miss never stalls admission. Two handlers missing
+   on one spec both build it and the later insert wins — the values are
+   equal. A spec [Instances] rejects raises [Invalid_argument] before the
+   insert, so errors are never cached. *)
+let resolve st (spec : Wire.spec) =
+  let key = Printf.sprintf "%s/%d/%d" spec.Wire.task spec.Wire.procs spec.Wire.param in
+  match Mutex.protect st.tasks_m (fun () -> Lru.find st.tasks key) with
+  | Some task ->
+    Wfc_obs.Metrics.incr c_task_hits;
+    task
+  | None ->
+    Wfc_obs.Metrics.incr c_task_misses;
+    let task =
+      Wfc_tasks.Instances.by_name ~name:spec.Wire.task ~procs:spec.Wire.procs
+        ~param:spec.Wire.param
+    in
+    Mutex.protect st.tasks_m (fun () -> Lru.put st.tasks key task);
+    task
 
 let fresh_req_id st =
   Printf.sprintf "wfc-%d-%d" (Unix.getpid ()) (Atomic.fetch_and_add st.req_seq 1)
@@ -362,9 +405,12 @@ let handle_query st ~req_id (spec : Wire.spec) =
   match Wfc_tasks.Model.of_string spec.Wire.model with
   | Error msg -> failed msg
   | Ok model -> (
-  match Wfc_tasks.Instances.by_name ~name:spec.Wire.task ~procs:spec.Wire.procs ~param:spec.Wire.param with
-  | exception Invalid_argument msg -> failed msg
-  | task -> (
+  let t_resolve = Wfc_obs.Metrics.now_s () in
+  let resolved = match resolve st spec with t -> Ok t | exception Invalid_argument m -> Error m in
+  Wfc_obs.Metrics.observe h_stage_resolve (Wfc_obs.Metrics.now_s () -. t_resolve);
+  match resolved with
+  | Error msg -> failed msg
+  | Ok task -> (
     let digest = Wfc_tasks.Task.digest task in
     let key = key_of ~digest ~model:spec.Wire.model ~max_level:spec.Wire.max_level in
     let wait_for job =
@@ -406,7 +452,6 @@ let handle_query st ~req_id (spec : Wire.spec) =
                     {
                       j_spec = spec;
                       j_task = task;
-                      j_digest = digest;
                       j_model = model;
                       j_req_id = req_id;
                       j_enqueued_at = Wfc_obs.Metrics.now_s ();
@@ -446,6 +491,7 @@ let uptime_s st = Wfc_obs.Metrics.now_s () -. st.started_at
 
 let server_json st =
   let open Wfc_obs.Json in
+  let tasks_cached = Mutex.protect st.tasks_m (fun () -> Lru.size st.tasks) in
   let inflight, depth, workers =
     locked st (fun () ->
         ( Hashtbl.length st.inflight,
@@ -470,6 +516,8 @@ let server_json st =
       ("queue_depth", Int depth);
       ("queue_capacity", Int st.cfg.queue_capacity);
       ("solvers", Int st.cfg.solvers);
+      ("tasks_cached", Int tasks_cached);
+      ("tasks_capacity", Int task_memo_capacity);
       ("workers", Arr workers);
     ]
 
@@ -573,6 +621,10 @@ let run cfg =
       inflight = Hashtbl.create 64;
       workers_info =
         Array.init (max 1 cfg.solvers) (fun _ -> { w_state = `Idle; w_jobs = 0 });
+      tasks =
+        Lru.create task_memo_capacity ~on_evict:(fun _ _ ->
+            Wfc_obs.Metrics.incr c_task_evictions);
+      tasks_m = Mutex.create ();
       req_seq = Atomic.make 0;
       stopping = Atomic.make false;
     }

@@ -1,7 +1,11 @@
 (** The long-running solvability daemon behind [wfc serve].
 
     One process owns a {!Wfc_storage.Engine.t} and a Unix-domain socket and answers
-    {!Wire} queries:
+    {!Wire} queries. Each query first resolves its task: a bounded LRU of
+    64 built tasks, keyed by the spec's (task, procs, param), hands back
+    the task and its digest without rebuilding either
+    ([serve.tasks.{hits,misses,evictions}]; specs that fail to build are
+    never cached). Then:
 
     - {b store hit} ([serve.hits]): the record is served without building a
       single subdivision;
@@ -35,7 +39,7 @@
     {b Telemetry.} Every request carries a correlation id (client-supplied
     [req_id] or daemon-assigned) that is echoed in the response and stamped
     on every log line of the request. The lifecycle is measured stage by
-    stage — [serve.stage.decode.seconds], [.admission.], [.queue_wait.],
+    stage — [serve.stage.decode.seconds], [.resolve.], [.admission.], [.queue_wait.],
     [.solve.], [.store_put.], [.encode.] — alongside the end-to-end
     [serve.latency.seconds], its per-source splits
     ([serve.latency.store.seconds] / [.computed.] / [.coalesced.]) and
@@ -48,8 +52,9 @@
     with [slow_ms] set, any query slower than the threshold additionally
     emits a [slow_query] warning carrying the full spec, verdict source and
     search statistics. A [stats] request returns the metrics snapshot plus
-    a [server] block: version, uptime, in-flight count, queue depth and
-    per-worker state. On shutdown the daemon prints a traffic summary and,
+    a [server] block: version, uptime, in-flight count, queue depth, the
+    resolve memo's size and capacity ([tasks_cached], [tasks_capacity])
+    and per-worker state. On shutdown the daemon prints a traffic summary and,
     with [report], writes the final metrics snapshot as a [wfc.obs.v1]
     report. SIGINT/SIGTERM trigger the same clean shutdown as a [shutdown]
     request — every scheduler worker drains the pending queue and finishes

@@ -211,13 +211,16 @@ let really_write fd bytes off len =
     len := !len - n
   done
 
+(* Header and payload go out in one buffer and one [write]: every syscall
+   releases and re-takes the runtime lock, and a second one per frame is a
+   second wait behind whatever thread holds it. *)
 let write_frame fd j =
-  let payload = Bytes.unsafe_of_string (Wfc_obs.Json.to_string j) in
-  let n = Bytes.length payload in
-  let header = Bytes.create 4 in
-  Bytes.set_int32_be header 0 (Int32.of_int n);
-  really_write fd header 0 4;
-  really_write fd payload 0 n
+  let payload = Wfc_obs.Json.to_string j in
+  let n = String.length payload in
+  let frame = Bytes.create (4 + n) in
+  Bytes.set_int32_be frame 0 (Int32.of_int n);
+  Bytes.blit_string payload 0 frame 4 n;
+  really_write fd frame 0 (4 + n)
 
 (* [Ok buf] or [Error `Eof] (clean close at a frame boundary) / [Error `Short]
    (peer died mid-frame). *)

@@ -10,7 +10,7 @@
     {!of_relation} builds the complexes by enumerating tuples against a
     legality predicate. *)
 
-type t = {
+type t = private {
   name : string;
   procs : int;  (** n + 1 *)
   input : Wfc_topology.Chromatic.t;
@@ -19,7 +19,13 @@ type t = {
   output_label : int -> string;
   delta : Wfc_topology.Simplex.t -> Wfc_topology.Simplex.t list;
       (** maximal allowed output simplices for an input simplex *)
+  digest : string;  (** {!digest}, computed once by {!of_relation} *)
 }
+(** Values are built only by {!of_relation} (and {!product}), which
+    computes the digest; the type is private so no value can carry a
+    digest that disagrees with its content. A task is immutable apart
+    from the complexes' on-demand face caches, so one value can be shared
+    by concurrent solver threads. *)
 
 val of_relation :
   name:string ->
@@ -78,7 +84,8 @@ val canonical_json : t -> Wfc_obs.Json.t
 val digest : t -> string
 (** Hex digest of {!canonical_json}'s canonical bytes — the
     content-addressed key under which verdict stores ([wfc.store.v1]) file
-    this task. Stable across processes and task re-construction. *)
+    this task. Stable across processes and task re-construction. Computed
+    once when the task is built; this is a field read. *)
 
 val pp_stats : Format.formatter -> t -> unit
 

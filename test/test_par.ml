@@ -421,6 +421,46 @@ let test_threads_share_caches () =
       Alcotest.(check string) (Printf.sprintf "question %d" i) (verdict_bytes q) results.(i))
     questions
 
+(* The daemon's resolve memo hands one task value to every solver thread
+   that asks about it. Four threads solve distinct (model, level)
+   questions over one freshly built value — its complexes' face caches
+   still unfilled, so the threads race to fill them — and each verdict
+   must equal a sequential solve on a task built for it alone. *)
+let test_threads_share_task_value () =
+  let approx () = Wfc_tasks.Instances.approximate_agreement ~procs:3 ~grid:4 in
+  let questions =
+    [|
+      (Wfc_tasks.Model.wait_free, 1);
+      (Wfc_tasks.Model.wait_free, 2);
+      (Wfc_tasks.Model.k_set_affine ~k:2, 2);
+      (Wfc_tasks.Model.t_resilient ~t:1, 2);
+    |]
+  in
+  let verdict_bytes task (model, max_level) =
+    let o, _ =
+      Solvability.solve_cached ~opts:(Solvability.options ~model ()) ~domains:1 ~max_level task
+    in
+    Wfc_obs.Json.to_string
+      (Wfc_storage.Record.verdict_json
+         (Wfc_storage.Record.make ~task ~spec:"q" ~model:(Wfc_tasks.Model.to_string model)
+            ~max_level ~budget:Solvability.default_budget o))
+  in
+  Sds.clear_cache ();
+  let shared = approx () in
+  let results = Array.make (Array.length questions) "" in
+  let threads =
+    Array.mapi
+      (fun i q -> Thread.create (fun () -> results.(i) <- verdict_bytes shared q) ())
+      questions
+  in
+  Array.iter Thread.join threads;
+  Sds.clear_cache ();
+  Array.iteri
+    (fun i q ->
+      Alcotest.(check string) (Printf.sprintf "question %d" i) (verdict_bytes (approx ()) q)
+        results.(i))
+    questions
+
 let () =
   Wfc_par.set_domains 1;
   Alcotest.run "wfc_par"
@@ -453,5 +493,7 @@ let () =
         [
           Alcotest.test_case "4 threads, shared caches = sequential bytes" `Quick
             test_threads_share_caches;
+          Alcotest.test_case "4 threads, one shared task value = sequential bytes" `Quick
+            test_threads_share_task_value;
         ] );
     ]

@@ -378,6 +378,19 @@ let query_exn c spec =
   | Ok r -> r
   | Error e -> Alcotest.fail e
 
+let server_int c key =
+  match Client.stats c with
+  | Ok (_, Some s) -> (
+    match Wfc_obs.Json.member key s with
+    | Some (Wfc_obs.Json.Int n) -> n
+    | _ -> Alcotest.fail ("server block without " ^ key))
+  | Ok (_, None) -> Alcotest.fail "expected a server block"
+  | Error e -> Alcotest.fail e
+
+let record_of = function
+  | Wire.Verdict { record; _ } -> record
+  | _ -> Alcotest.fail "expected a verdict"
+
 let daemon_tests =
   [
     Alcotest.test_case "cold query computes, warm query hits the store" `Quick (fun () ->
@@ -491,6 +504,68 @@ let daemon_tests =
             (match query_exn c { default_spec with Wire.task = "no-such-task" } with
             | Wire.Failed _ -> ()
             | _ -> Alcotest.fail "expected an error response");
+            Client.close c));
+    Alcotest.test_case "resolved digests equal a fresh build, cold and warm" `Quick (fun () ->
+        with_daemon (fun ~socket ~store_dir:_ ->
+            let c = connect_exn socket in
+            let param_of = function
+              | "set-consensus" | "consensus" | "approx" -> 2
+              | "renaming" -> 3
+              | "tas" -> 1
+              | _ -> 0
+            in
+            List.iter
+              (fun task ->
+                List.iter
+                  (fun procs ->
+                    let param = param_of task in
+                    let spec = { default_spec with Wire.task; procs; param } in
+                    let fresh =
+                      Task.digest (Instances.by_name ~name:task ~procs ~param)
+                    in
+                    let name = Printf.sprintf "%s %d/%d" task procs param in
+                    checks (name ^ " cold") fresh (record_of (query_exn c spec)).Record.digest;
+                    checks (name ^ " warm") fresh (record_of (query_exn c spec)).Record.digest)
+                  [ 2; 3 ])
+              Instances.known;
+            Client.close c));
+    Alcotest.test_case "the resolve memo is bounded and evicts cleanly" `Quick (fun () ->
+        (* consensus ignores its param, so every param is a distinct memo key
+           for one digest: one solve, then store hits *)
+        let spec param = { default_spec with Wire.param } in
+        let evictions0 = counter_value "serve.tasks.evictions" in
+        with_daemon (fun ~socket ~store_dir:_ ->
+            let c = connect_exn socket in
+            ignore (query_exn c (spec 0));
+            let first = json_str (Record.record_to_json (record_of (query_exn c (spec 0)))) in
+            let cap = server_int c "tasks_capacity" in
+            for param = 1 to cap + 5 do
+              ignore (record_of (query_exn c (spec param)))
+            done;
+            checkb "evictions counted" true
+              (counter_value "serve.tasks.evictions" - evictions0 > 0);
+            checkb "size within the cap" true (server_int c "tasks_cached" <= cap);
+            let misses0 = counter_value "serve.tasks.misses" in
+            let again = json_str (Record.record_to_json (record_of (query_exn c (spec 0)))) in
+            checki "the evicted spec was rebuilt" 1
+              (counter_value "serve.tasks.misses" - misses0);
+            checks "same bytes after eviction" first again;
+            Client.close c));
+    Alcotest.test_case "failed resolves are not cached" `Quick (fun () ->
+        with_daemon (fun ~socket ~store_dir:_ ->
+            let c = connect_exn socket in
+            let cached0 = server_int c "tasks_cached" in
+            let hits0 = counter_value "serve.tasks.hits" in
+            let misses0 = counter_value "serve.tasks.misses" in
+            for _ = 1 to 2 do
+              match query_exn c { default_spec with Wire.task = "no-such-task" } with
+              | Wire.Failed _ -> ()
+              | _ -> Alcotest.fail "expected an error response"
+            done;
+            checki "no memo entry" cached0 (server_int c "tasks_cached");
+            checki "both asks missed" 2 (counter_value "serve.tasks.misses" - misses0);
+            checki "neither hit" 0 (counter_value "serve.tasks.hits" - hits0);
+            checkb "still answers" true (Client.ping c);
             Client.close c));
     Alcotest.test_case "concurrent identical queries coalesce" `Quick (fun () ->
         (* The gate holds the solver inside the first job until we have seen

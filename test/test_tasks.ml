@@ -160,6 +160,40 @@ let digest_unit_tests =
          with Invalid_argument _ -> ()));
   ]
 
+(* Digests are store keys: a changed byte would silently orphan every
+   verdict already on disk. These literals were computed before the
+   digest moved into the task value and [canonical_json] stopped
+   rendering inside its sort comparator. *)
+let golden_digest_tests =
+  [
+    Alcotest.test_case "golden digests are unchanged" `Quick (fun () ->
+        List.iter
+          (fun (name, procs, param, expected) ->
+            Alcotest.check Alcotest.string
+              (Printf.sprintf "%s %d/%d" name procs param)
+              expected
+              (Task.digest (Instances.by_name ~name ~procs ~param)))
+          [
+            ("consensus", 2, 2, "dc402b4314b41cf79fda08a3dab9afb2");
+            ("set-consensus", 3, 2, "db93b284511b0d38ac0de45aa3de382d");
+            ("approx", 3, 3, "3a0803e4fb6f78f0b1323bc3b26451ad");
+            ("renaming", 3, 6, "f2de5492c5549a265dfcb11b80514208");
+            ("loop-disk", 3, 0, "f137526ca77d9b4d0639ec97ebc6123c");
+          ]);
+    Alcotest.test_case "the stored digest is the canonical bytes' digest" `Quick (fun () ->
+        List.iter
+          (fun t ->
+            Alcotest.check Alcotest.string t.Task.name
+              (Digest.to_hex
+                 (Digest.string (Wfc_obs.Json.to_string (Task.canonical_json t))))
+              (Task.digest t))
+          [
+            Instances.set_consensus ~procs:3 ~k:2;
+            Instances.loop_agreement_on_circle ();
+            scrambled_consensus 7;
+          ]);
+  ]
+
 let digest_prop_tests =
   [
     qtest ~count:50
@@ -299,7 +333,7 @@ let () =
   Alcotest.run "wfc_tasks"
     [
       ("task", task_unit_tests @ product_unit_tests);
-      ("digest", digest_unit_tests @ digest_prop_tests);
+      ("digest", digest_unit_tests @ golden_digest_tests @ digest_prop_tests);
       ("simplex-agreement", sa_unit_tests);
       ("protocols", protocol_unit_tests @ protocol_prop_tests);
     ]
